@@ -108,7 +108,6 @@ void ShardWorld::AddVehicle(const VehicleSpawn& spawn) {
   ARIDE_ACHECK(pos == vehicles_.end() || pos->state.id != sv.state.id)
       << "duplicate vehicle id " << sv.state.id;
   vehicles_.insert(pos, std::move(sv));
-  RebuildVehicleIndex();
 }
 
 void ShardWorld::EnqueueOrder(const Order& order) {
@@ -212,7 +211,7 @@ EffectBatch ShardWorld::InjectFaults(const FaultPlan& plan, int round,
       if (!rec.dispatched || rec.completed) continue;
       if (!plan.OrderCancels(round, order)) continue;
       ARIDE_ACHECK(rec.vehicle != kInvalidVehicle) << "order " << order;
-      WorldVehicle& sv = vehicles_[vehicle_index_by_id_.at(rec.vehicle)];
+      WorldVehicle& sv = vehicles_[VehicleIndex(rec.vehicle)];
       // Picked-up riders cannot withdraw: their pickup stop is gone.
       bool has_pickup = false;
       for (const PlanStop& stop : sv.state.plan.stops) {
@@ -524,10 +523,9 @@ std::size_t ShardWorld::IdleCount(Seconds now_s) const {
 }
 
 WorldVehicle ShardWorld::ExtractVehicle(VehicleId id) {
-  const std::size_t idx = vehicle_index_by_id_.at(id);
+  const std::size_t idx = VehicleIndex(id);
   WorldVehicle out = std::move(vehicles_[idx]);
   vehicles_.erase(vehicles_.begin() + static_cast<std::ptrdiff_t>(idx));
-  RebuildVehicleIndex();
   return out;
 }
 
@@ -539,7 +537,6 @@ void ShardWorld::InsertVehicle(WorldVehicle vehicle, NodeId relocate_target) {
   ARIDE_ACHECK(pos == vehicles_.end() || pos->state.id != vehicle.state.id)
       << "duplicate vehicle id " << vehicle.state.id;
   vehicles_.insert(pos, std::move(vehicle));
-  RebuildVehicleIndex();
 }
 
 Meters ShardWorld::DeliveryDistanceSum() const {
@@ -550,11 +547,13 @@ Meters ShardWorld::DeliveryDistanceSum() const {
   return sum;
 }
 
-void ShardWorld::RebuildVehicleIndex() {
-  vehicle_index_by_id_.clear();
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    vehicle_index_by_id_.emplace(vehicles_[i].state.id, i);
-  }
+std::size_t ShardWorld::VehicleIndex(VehicleId id) const {
+  const auto pos = std::lower_bound(
+      vehicles_.begin(), vehicles_.end(), id,
+      [](const WorldVehicle& a, VehicleId v) { return a.state.id < v; });
+  ARIDE_ACHECK(pos != vehicles_.end() && pos->state.id == id)
+      << "vehicle " << id << " is not on this shard";
+  return static_cast<std::size_t>(pos - vehicles_.begin());
 }
 
 void FinalizeResult(const AuctionConfig& config,

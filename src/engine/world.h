@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "auction/types.h"
@@ -181,7 +180,8 @@ class ShardWorld {
   void AdvanceVehicle(WorldVehicle* vehicle, Seconds start_s, Seconds dt_s,
                       EffectBatch* fx);
   double EdgeLength(NodeId from, NodeId to) const;
-  void RebuildVehicleIndex();
+  // Position of vehicle `id` in vehicles_ (binary search; must be present).
+  std::size_t VehicleIndex(VehicleId id) const;
 
   const DistanceOracle* oracle_;
   const std::vector<Order>* orders_;
@@ -191,8 +191,6 @@ class ShardWorld {
   std::unique_ptr<AStarSearch> path_search_;
 
   std::vector<WorldVehicle> vehicles_;  // sorted by vehicle id
-  // Live-vehicle lookup for fault handling (assignments carry VehicleIds).
-  std::unordered_map<VehicleId, std::size_t> vehicle_index_by_id_;
   std::vector<Order> pending_;  // sorted by order id
   // Orders dispatched on this shard and not yet refunded, sorted by id
   // (completed entries linger and are skipped — the cancel scan checks the

@@ -28,7 +28,77 @@ std::size_t StripeIndex() {
   return stripe;
 }
 
+namespace {
+
+// Hands out counter slots; leaked so threads may exit after static
+// destruction.
+struct SlotPool {
+  Mutex mu;
+  std::vector<int32_t> free ARIDE_GUARDED_BY(mu);
+  int32_t next ARIDE_GUARDED_BY(mu) = 0;
+};
+
+SlotPool& Slots() {
+  static SlotPool* pool = new SlotPool();  // leaked
+  return *pool;
+}
+
+// Returns the thread's slot to the pool when the thread exits. Any later
+// Add() on this thread (from another thread_local destructor) goes to the
+// shared cell, so a recycled slot never has two writers.
+struct SlotReleaser {
+  ~SlotReleaser() {
+    const int32_t slot = tl_counter_slot;
+    tl_counter_slot = kSharedSlot;
+    if (slot < 0) return;
+    SlotPool& pool = Slots();
+    MutexLock lock(pool.mu);
+    pool.free.push_back(slot);
+  }
+};
+
+}  // namespace
+
+int32_t AcquireCounterSlot() {
+  if (tl_counter_slot != kNoSlot) return tl_counter_slot;
+  thread_local SlotReleaser releaser;
+  SlotPool& pool = Slots();
+  MutexLock lock(pool.mu);
+  if (!pool.free.empty()) {
+    tl_counter_slot = pool.free.back();
+    pool.free.pop_back();
+  } else if (pool.next < kMaxCounterChunks * kCellsPerChunk) {
+    tl_counter_slot = pool.next++;
+  } else {
+    tl_counter_slot = kSharedSlot;
+  }
+  return tl_counter_slot;
+}
+
 }  // namespace internal
+
+Counter::Chunk* Counter::AddChunk(std::atomic<Chunk*>& chunk) {
+  auto fresh = std::make_unique<Chunk>();
+  Chunk* expected = nullptr;
+  // Another thread whose slot shares the chunk may have won the race.
+  if (chunk.compare_exchange_strong(expected, fresh.get(),
+                                    std::memory_order_acq_rel)) {
+    return fresh.release();
+  }
+  return expected;
+}
+
+int64_t Counter::Total() const {
+  int64_t total = shared_.v.load(std::memory_order_relaxed);
+  for (const auto& chunk : chunks_) {
+    const Chunk* c = chunk.load(std::memory_order_acquire);
+    if (c == nullptr) continue;
+    for (const Cell& cell : c->cells) {
+      total += cell.v.load(std::memory_order_relaxed);
+    }
+  }
+  return total;
+}
 
 Histogram::Options Histogram::TimerOptions() {
   Options opts;
@@ -74,22 +144,27 @@ void Histogram::Observe(double x) {
 }
 
 HistogramSummary Histogram::Summary() const {
-  MutexLock lock(mu_);
   HistogramSummary out;
-  out.count = stats_.count();
-  out.sum = stats_.sum();
-  out.mean = stats_.mean();
-  out.min = stats_.min();
-  out.max = stats_.max();
-  out.stddev = stats_.stddev();
-  if (samples_.count() > 0) {
-    const std::vector<double> sorted = samples_.SortedCopy();
+  SampleSet samples;
+  {
+    // Copy under the lock, sort outside it: observers never wait on a sort.
+    MutexLock lock(mu_);
+    out.count = stats_.count();
+    out.sum = stats_.sum();
+    out.mean = stats_.mean();
+    out.min = stats_.min();
+    out.max = stats_.max();
+    out.stddev = stats_.stddev();
+    out.bucket_counts = bucket_counts_;
+    samples = samples_;
+  }
+  if (samples.count() > 0) {
+    const std::vector<double> sorted = samples.SortedCopy();
     out.p50 = SampleSet::QuantileOfSorted(sorted, 0.50);
     out.p95 = SampleSet::QuantileOfSorted(sorted, 0.95);
     out.p99 = SampleSet::QuantileOfSorted(sorted, 0.99);
   }
   out.bucket_bounds = opts_.bucket_bounds;
-  out.bucket_counts = bucket_counts_;
   return out;
 }
 
@@ -129,11 +204,24 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
-  MutexLock lock(mu_);
+  // Metrics are never removed, so the lock only guards the maps: list the
+  // metrics under it and read them after releasing it. A snapshot in a
+  // loop then cannot hold off threads that register metrics.
+  std::vector<std::pair<std::string, const Counter*>> counters;
+  std::vector<std::pair<std::string, const Gauge*>> gauges;
+  std::vector<std::pair<std::string, const Histogram*>> histograms;
+  {
+    MutexLock lock(mu_);
+    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
+    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
+    for (const auto& [name, h] : histograms_) {
+      histograms.emplace_back(name, h.get());
+    }
+  }
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, c] : counters) snap.counters[name] = c->value();
+  for (const auto& [name, g] : gauges) snap.gauges[name] = g->value();
+  for (const auto& [name, h] : histograms) {
     snap.histograms[name] = h->Summary();
   }
   return snap;

@@ -1,9 +1,9 @@
 // Thread-safe metrics registry: counters, gauges, and histograms.
 //
 // Design goals, in order:
-//   1. Hot-path cost: a counter bump is one relaxed atomic add; the
-//      registry lookup happens once per call site (cached in a function-
-//      local static by the OBS_* macros).
+//   1. Hot-path cost: a counter bump is a plain add to the calling thread's
+//      own cell; the registry lookup happens once per call site (cached in
+//      a function-local static by the OBS_* macros).
 //   2. Thread safety everywhere: any thread may bump any metric while any
 //      other thread snapshots the registry.
 //   3. Bounded memory: histograms combine fixed buckets (lock-free-ish
@@ -36,12 +36,26 @@ namespace obs {
 
 namespace internal {
 
-// Hot metrics are striped across cache-line-padded cells so concurrent
-// bumps from a thread pool don't ping-pong one line — the oracle counters
-// take hundreds of millions of hits per bench run. Threads are assigned
+// Histogram ticks are striped across cache-line-padded cells so concurrent
+// bumps from a thread pool don't ping-pong one line. Threads are assigned
 // stripes round-robin; the index is cached per thread.
 inline constexpr std::size_t kStripes = 16;
 std::size_t StripeIndex();
+
+// Counter cells are per thread, not striped: every live thread holds a
+// distinct slot, so each cell has a single writer and an increment needs no
+// locked instruction. Slots are recycled when their thread exits.
+inline constexpr int32_t kCellsPerChunk = 16;
+inline constexpr int32_t kMaxCounterChunks = 64;  // 1024 concurrent threads
+inline constexpr int32_t kNoSlot = -1;       // not yet assigned
+inline constexpr int32_t kSharedSlot = -2;   // exiting or out of slots
+inline constinit thread_local int32_t tl_counter_slot = kNoSlot;
+// Slow path of CounterSlot(): assigns this thread a slot, or kSharedSlot.
+int32_t AcquireCounterSlot();
+inline int32_t CounterSlot() {
+  const int32_t slot = tl_counter_slot;
+  return slot >= 0 ? slot : AcquireCounterSlot();
+}
 
 // Swallows macro arguments in ARIDE_OBS_DISABLED builds: called under
 // `if (false)` so arguments are type-checked but never evaluated, without
@@ -51,31 +65,55 @@ inline void IgnoreUnused(const Args&...) {}
 
 }  // namespace internal
 
-/// Monotonically increasing event count (striped, see internal::kStripes).
+/// Monotonically increasing event count with one cell per thread (see
+/// internal::CounterSlot). value() is exact: it sums every cell, so it
+/// includes every Add() that happened before it on any thread.
 class Counter {
  public:
+  Counter() = default;
+  ~Counter() {
+    for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
+  }
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
   void Add(int64_t n = 1) {
-    cells_[internal::StripeIndex()].v.fetch_add(n,
-                                                std::memory_order_relaxed);
+    const int32_t slot = internal::CounterSlot();
+    if (slot == internal::kSharedSlot) {
+      shared_.v.fetch_add(n, std::memory_order_relaxed);
+      return;
+    }
+    // Single writer: a plain read-modify-write cannot lose an update.
+    std::atomic<int64_t>& cell = CellOf(slot);
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
   }
   int64_t value() const {
-    int64_t total = 0;
-    for (const Cell& c : cells_) {
-      total += c.v.load(std::memory_order_relaxed);
-    }
-    return total;
+    return Total() - base_.load(std::memory_order_relaxed);
   }
-  void Reset() {
-    for (Cell& c : cells_) {
-      c.v.store(0, std::memory_order_relaxed);
-    }
-  }
+  /// Zeroes the reported value; cells keep their single writers.
+  void Reset() { base_.store(Total(), std::memory_order_relaxed); }
 
  private:
   struct alignas(64) Cell {
     std::atomic<int64_t> v{0};
   };
-  Cell cells_[internal::kStripes];
+  struct Chunk {
+    Cell cells[internal::kCellsPerChunk];
+  };
+
+  std::atomic<int64_t>& CellOf(int32_t slot) {
+    std::atomic<Chunk*>& chunk = chunks_[slot / internal::kCellsPerChunk];
+    Chunk* c = chunk.load(std::memory_order_acquire);
+    if (c == nullptr) c = AddChunk(chunk);
+    return c->cells[slot % internal::kCellsPerChunk].v;
+  }
+  static Chunk* AddChunk(std::atomic<Chunk*>& chunk);
+  int64_t Total() const;
+
+  std::atomic<Chunk*> chunks_[internal::kMaxCounterChunks] = {};
+  Cell shared_;  // threads without a slot add here atomically
+  std::atomic<int64_t> base_{0};
 };
 
 /// Last-written (or max-tracked) instantaneous value.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <queue>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -208,42 +208,104 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
     }
   }
 
-  // Freeze the upward graphs into CSR form.
-  up_out_begin_.assign(n + 1, 0);
-  up_in_begin_.assign(n + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const DynArc& a : out_adj[u]) {
-      if (rank_[a.head] > rank_[u]) ++up_out_begin_[u + 1];
-    }
-    for (const DynArc& a : in_adj[u]) {
-      if (rank_[a.head] > rank_[u]) ++up_in_begin_[u + 1];
-    }
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    up_out_begin_[i + 1] += up_out_begin_[i];
-    up_in_begin_[i + 1] += up_in_begin_[i];
-  }
-  up_out_arcs_.resize(static_cast<std::size_t>(up_out_begin_[n]));
-  up_in_arcs_.resize(static_cast<std::size_t>(up_in_begin_[n]));
-  std::vector<int64_t> out_pos(up_out_begin_.begin(), up_out_begin_.end() - 1);
-  std::vector<int64_t> in_pos(up_in_begin_.begin(), up_in_begin_.end() - 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const DynArc& a : out_adj[u]) {
-      if (rank_[a.head] > rank_[u]) up_out_arcs_[out_pos[u]++] = a;
-    }
-    for (const DynArc& a : in_adj[u]) {
-      if (rank_[a.head] > rank_[u]) up_in_arcs_[in_pos[u]++] = a;
+  // Freeze both upward graphs into one rank-ordered CSR, keeping each
+  // node's arc order.
+  std::vector<NodeId> node_of_rank(n);
+  for (NodeId u = 0; u < n; ++u) node_of_rank[rank_[u]] = u;
+  arc_begin_.reserve(2 * static_cast<std::size_t>(n) + 1);
+  arc_begin_.push_back(0);
+  for (int32_t r = 0; r < n; ++r) {
+    const NodeId u = node_of_rank[r];
+    for (const std::vector<DynArc>* adj : {&out_adj[u], &in_adj[u]}) {
+      for (const DynArc& a : *adj) {
+        if (rank_[a.head] > r) arcs_.push_back({a.weight, rank_[a.head]});
+      }
+      arc_begin_.push_back(static_cast<uint32_t>(arcs_.size()));
     }
   }
+  ARIDE_ACHECK(arcs_.size() <= std::numeric_limits<uint32_t>::max());
+  arcs_.shrink_to_fit();
 }
 
 ContractionHierarchy::Query::Query(const ContractionHierarchy* ch) : ch_(ch) {
   ARIDE_ACHECK(ch != nullptr);
-  const auto n = static_cast<std::size_t>(ch->num_nodes_);
-  dist_fwd_.assign(n, kInfDistance);
-  dist_bwd_.assign(n, kInfDistance);
-  gen_fwd_.assign(n, 0);
-  gen_bwd_.assign(n, 0);
+  labels_.assign(static_cast<std::size_t>(ch->num_nodes_),
+                 Label{{kInfDistance, kInfDistance}, {0, 0}, {-1, -1}});
+}
+
+void ContractionHierarchy::Query::SiftUp(Direction dir, std::size_t i,
+                                         HeapEntry e) {
+  std::vector<HeapEntry>& heap = heap_[dir];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!(heap[parent].dist > e.dist)) break;
+    heap[i] = heap[parent];
+    labels_[heap[i].rank].heap_pos[dir] = static_cast<int32_t>(i);
+    i = parent;
+  }
+  heap[i] = e;
+  labels_[e.rank].heap_pos[dir] = static_cast<int32_t>(i);
+}
+
+void ContractionHierarchy::Query::SiftDown(Direction dir, std::size_t i,
+                                           HeapEntry e) {
+  std::vector<HeapEntry>& heap = heap_[dir];
+  const std::size_t n = heap.size();
+  while (true) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t min_child = first;
+    for (std::size_t c = first + 1; c < std::min(first + 4, n); ++c) {
+      if (heap[c].dist < heap[min_child].dist) min_child = c;
+    }
+    if (!(heap[min_child].dist < e.dist)) break;
+    heap[i] = heap[min_child];
+    labels_[heap[i].rank].heap_pos[dir] = static_cast<int32_t>(i);
+    i = min_child;
+  }
+  heap[i] = e;
+  labels_[e.rank].heap_pos[dir] = static_cast<int32_t>(i);
+}
+
+void ContractionHierarchy::Query::SettleNext(Direction dir, double* best,
+                                             int64_t* settled) {
+  std::vector<HeapEntry>& heap = heap_[dir];
+  const auto [d, r] = heap.front();
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) SiftDown(dir, 0, last);
+  Label& here = labels_[r];
+  here.heap_pos[dir] = -1;
+  ++*settled;
+  const auto other = static_cast<Direction>(1 - dir);
+  if (here.generation[other] == generation_) {
+    *best = std::min(*best, d + here.dist[other]);
+  }
+  // Stall-on-demand: if a higher-ranked node w already reached in this
+  // direction leads to r more cheaply (over an arc of the opposite upward
+  // graph), d is not r's distance and no shortest path continues from r.
+  for (const UpArc& a : ch_->UpArcs(other, r)) {
+    const Label& w = labels_[a.head];
+    if (w.generation[dir] == generation_ && w.dist[dir] + a.weight < d) {
+      return;
+    }
+  }
+  for (const UpArc& a : ch_->UpArcs(dir, r)) {
+    const double nd = d + a.weight;
+    Label& head = labels_[a.head];
+    if (head.generation[dir] != generation_) {
+      head.generation[dir] = generation_;
+      head.dist[dir] = nd;
+      heap.push_back({nd, a.head});
+      SiftUp(dir, heap.size() - 1, {nd, a.head});
+    } else if (nd < head.dist[dir]) {
+      // Weights are >= 0, so nd never undercuts a settled label: the head
+      // is still in the heap.
+      ARIDE_DCHECK(head.heap_pos[dir] >= 0);
+      head.dist[dir] = nd;
+      SiftUp(dir, static_cast<std::size_t>(head.heap_pos[dir]), {nd, a.head});
+    }
+  }
 }
 
 double ContractionHierarchy::Query::ShortestDistance(NodeId source,
@@ -254,59 +316,25 @@ double ContractionHierarchy::Query::ShortestDistance(NodeId source,
   ++generation_;
   ARIDE_ACHECK(generation_ != 0);
 
-  auto dist = [this](std::vector<double>& d, std::vector<uint32_t>& g,
-                     NodeId node) -> double& {
-    if (g[node] != generation_) {
-      g[node] = generation_;
-      d[node] = kInfDistance;
-    }
-    return d[node];
-  };
-
-  MinQueue fwd, bwd;
-  dist(dist_fwd_, gen_fwd_, source) = 0;
-  dist(dist_bwd_, gen_bwd_, target) = 0;
-  fwd.push({0, source});
-  bwd.push({0, target});
+  const int32_t ends[2] = {ch_->rank_[source], ch_->rank_[target]};
+  for (const Direction dir : {kForward, kBackward}) {
+    Label& end = labels_[ends[dir]];
+    end.dist[dir] = 0;
+    end.generation[dir] = generation_;
+    end.heap_pos[dir] = 0;
+    heap_[dir].assign(1, {0, ends[dir]});
+  }
   double best = kInfDistance;
   // Search-effort metric, accumulated locally: one registry update per
   // query, not per settled node.
   int64_t settled = 0;
-
-  auto relax_side = [&](MinQueue& queue, std::vector<double>& my_dist,
-                        std::vector<uint32_t>& my_gen,
-                        std::vector<double>& other_dist,
-                        std::vector<uint32_t>& other_gen,
-                        const std::vector<int64_t>& begin,
-                        const std::vector<DynArc>& arcs) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist(my_dist, my_gen, u)) return;
-    ++settled;
-    if (other_gen[u] == generation_ && other_dist[u] != kInfDistance) {
-      best = std::min(best, d + other_dist[u]);
-    }
-    for (int64_t i = begin[u]; i < begin[u + 1]; ++i) {
-      const DynArc& a = arcs[static_cast<std::size_t>(i)];
-      const double nd = d + a.weight;
-      if (nd < dist(my_dist, my_gen, a.head)) {
-        dist(my_dist, my_gen, a.head) = nd;
-        queue.push({nd, a.head});
-      }
-    }
-  };
-
-  while (!fwd.empty() || !bwd.empty()) {
-    const double f_top = fwd.empty() ? kInfDistance : fwd.top().dist;
-    const double b_top = bwd.empty() ? kInfDistance : bwd.top().dist;
+  while (true) {
+    const double f_top =
+        heap_[kForward].empty() ? kInfDistance : heap_[kForward][0].dist;
+    const double b_top =
+        heap_[kBackward].empty() ? kInfDistance : heap_[kBackward][0].dist;
     if (std::min(f_top, b_top) >= best) break;
-    if (f_top <= b_top) {
-      relax_side(fwd, dist_fwd_, gen_fwd_, dist_bwd_, gen_bwd_,
-                 ch_->up_out_begin_, ch_->up_out_arcs_);
-    } else {
-      relax_side(bwd, dist_bwd_, gen_bwd_, dist_fwd_, gen_fwd_,
-                 ch_->up_in_begin_, ch_->up_in_arcs_);
-    }
+    SettleNext(f_top <= b_top ? kForward : kBackward, &best, &settled);
   }
   OBS_COUNTER_ADD("roadnet.ch.settled_nodes", settled);
   OBS_COUNTER_INC("roadnet.ch.queries");

@@ -23,88 +23,28 @@ DistanceOracle::DistanceOracle(const RoadNetwork* network, Backend backend,
   lb_scale_ = network->min_detour_ratio() * (1.0 - 1e-9);
 }
 
-double DistanceOracle::ComputeUncached(NodeId source, NodeId target) const {
-  // Only uncached computes are timed, and only one in 16: cache hits are map
-  // lookups that would swamp the histogram, and pooled pricing runs would
-  // otherwise contend on the histogram mutex millions of times per bench.
-  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
+DistanceOracle::SearchContext DistanceOracle::AcquireContext() const {
+  {
+    MutexLock lock(pool_mu_);
+    if (!pool_.empty()) {
+      SearchContext context = std::move(pool_.back());
+      pool_.pop_back();
+      return context;
+    }
+  }
+  SearchContext context;
   if (backend_ == Backend::kContractionHierarchy) {
-    std::unique_ptr<ContractionHierarchy::Query> query;
-    {
-      MutexLock lock(pool_mu_);
-      if (!ch_pool_.empty()) {
-        query = std::move(ch_pool_.back());
-        ch_pool_.pop_back();
-      }
-    }
-    if (query == nullptr) {
-      query = std::make_unique<ContractionHierarchy::Query>(ch_.get());
-    }
-    const double d = query->ShortestDistance(source, target);
-    {
-      MutexLock lock(pool_mu_);
-      ch_pool_.push_back(std::move(query));
-    }
-    return d;
+    context.ch = std::make_unique<ContractionHierarchy::Query>(ch_.get());
+  } else {
+    context.dijkstra = std::make_unique<DijkstraSearch>(network_);
   }
-
-  std::unique_ptr<DijkstraSearch> search;
-  {
-    MutexLock lock(pool_mu_);
-    if (!dijkstra_pool_.empty()) {
-      search = std::move(dijkstra_pool_.back());
-      dijkstra_pool_.pop_back();
-    }
-  }
-  if (search == nullptr) search = std::make_unique<DijkstraSearch>(network_);
-  const double d = search->ShortestDistance(source, target);
-  {
-    MutexLock lock(pool_mu_);
-    dijkstra_pool_.push_back(std::move(search));
-  }
-  return d;
+  return context;
 }
 
-#if !defined(ARIDE_OBS_DISABLED)
-namespace {
-
-// Distance() runs ~10^8 times per bench; even striped registry counters
-// are too hot for its fast path, so each thread batches locally and
-// flushes every 4096 queries (and at thread exit — the registry is leaked,
-// so flushing from a thread_local destructor is safe). Snapshots can lag
-// by at most one batch per live thread, noise at these volumes.
-struct SpQueryBatch {
-  int64_t queries = 0;
-  int64_t cache_hits = 0;
-  int64_t trivial = 0;
-  ~SpQueryBatch() { Flush(); }
-  void Flush() {
-    if (queries > 0) OBS_COUNTER_ADD("roadnet.sp.queries", queries);
-    if (cache_hits > 0) OBS_COUNTER_ADD("roadnet.sp.cache_hits", cache_hits);
-    if (trivial > 0) OBS_COUNTER_ADD("roadnet.sp.trivial", trivial);
-    queries = 0;
-    cache_hits = 0;
-    trivial = 0;
-  }
-};
-
-thread_local SpQueryBatch sp_query_batch;
-
-}  // namespace
-
-#define ARIDE_SP_COUNT_QUERY() \
-  do {                         \
-    if (++sp_query_batch.queries >= 4096) sp_query_batch.Flush(); \
-  } while (0)
-#define ARIDE_SP_COUNT_HIT() (++sp_query_batch.cache_hits)
-#define ARIDE_SP_COUNT_TRIVIAL() (++sp_query_batch.trivial)
-#else
-#define ARIDE_SP_COUNT_QUERY() \
-  do {                         \
-  } while (0)
-#define ARIDE_SP_COUNT_HIT() (void)0
-#define ARIDE_SP_COUNT_TRIVIAL() (void)0
-#endif  // ARIDE_OBS_DISABLED
+void DistanceOracle::ReleaseContext(SearchContext context) const {
+  MutexLock lock(pool_mu_);
+  pool_.push_back(std::move(context));
+}
 
 namespace {
 // Per-thread Distance() call count. Plain (non-atomic) thread_local: only
@@ -121,63 +61,23 @@ inline uint64_t PairKey(NodeId source, NodeId target) {
 int64_t DistanceOracle::ThreadQueryCount() { return tl_thread_queries; }
 
 double DistanceOracle::Distance(NodeId source, NodeId target) const {
-  ARIDE_DCHECK(source >= 0 && source < network_->num_nodes());
-  ARIDE_DCHECK(target >= 0 && target < network_->num_nodes());
-  ++tl_thread_queries;
-  // Trivial queries never reach the cache, so counting them in
-  // num_queries_ would bias the hit rate downward; they get their own
-  // counter and num_queries_ stays hits + computes.
-  if (source == target) {
-    num_trivial_queries_.fetch_add(1, std::memory_order_relaxed);
-    ARIDE_SP_COUNT_TRIVIAL();
-    return 0;
-  }
-  num_queries_.fetch_add(1, std::memory_order_relaxed);
-  ARIDE_SP_COUNT_QUERY();
-
-  const uint64_t key = PairKey(source, target);
-  CacheShard& shard = shards_[key % kNumShards];
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      num_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      ARIDE_SP_COUNT_HIT();
-      return it->second;
-    }
-  }
-  const double d = ComputeUncached(source, target);
-  {
-    MutexLock lock(shard.mu);
-    shard.map.emplace(key, d);
-  }
+  double d = 0;
+  const NodePair pair{source, target};
+  DistanceBatch({&pair, 1}, {&d, 1});
   return d;
 }
 
 void DistanceOracle::DistanceBatch(std::span<const NodePair> pairs,
                                    std::span<double> out) const {
   ARIDE_ACHECK(pairs.size() == out.size());
-  const std::size_t n = pairs.size();
-  if (n == 0) return;
-  tl_thread_queries += static_cast<int64_t>(n);
-
-  // Reused per-thread scratch: non-trivial pair indices bucketed by cache
-  // shard, cache-miss indices per shard, and this batch's freshly computed
-  // keys. The last one makes duplicate pairs inside a batch charge a cache
-  // hit and reuse the first occurrence's value — exactly what the second of
-  // two sequential Distance() calls would do after the first's insert.
-  struct BatchScratch {
-    std::vector<uint32_t> bucket[kNumShards];
-    std::vector<uint32_t> misses[kNumShards];
-    std::unordered_map<uint64_t, double> computed;
-  };
-  thread_local BatchScratch scratch;
-  for (auto& b : scratch.bucket) b.clear();
-  for (auto& m : scratch.misses) m.clear();
-  scratch.computed.clear();
-
+  tl_thread_queries += static_cast<int64_t>(pairs.size());
+  // Trivial queries never reach the cache, so counting them in
+  // num_queries_ would bias the hit rate downward; they get their own
+  // counter and num_queries_ stays hits + computes.
   int64_t trivial = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  int64_t hits = 0;
+  SearchContext context;  // taken from the pool on the batch's first miss
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
     const NodeId source = pairs[i].source;
     const NodeId target = pairs[i].target;
     ARIDE_DCHECK(source >= 0 && source < network_->num_nodes());
@@ -185,108 +85,47 @@ void DistanceOracle::DistanceBatch(std::span<const NodePair> pairs,
     if (source == target) {
       out[i] = 0;
       ++trivial;
-      ARIDE_SP_COUNT_TRIVIAL();
       continue;
     }
-    scratch.bucket[PairKey(source, target) % kNumShards].push_back(
-        static_cast<uint32_t>(i));
-    ARIDE_SP_COUNT_QUERY();
+    const uint64_t key = PairKey(source, target);
+    CacheShard& shard = shards_[key % kNumShards];
+    {
+      MutexLock lock(shard.mu);
+      if (const double* d = shard.memo.Find(key)) {
+        out[i] = *d;
+        ++hits;
+        continue;
+      }
+    }
+    if (!context.held()) context = AcquireContext();
+    {
+      // Only computes are timed, and only one in 16: cache hits are table
+      // probes that would swamp the histogram.
+      OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
+      out[i] = context.ch != nullptr
+                   ? context.ch->ShortestDistance(source, target)
+                   : context.dijkstra->ShortestDistance(source, target);
+    }
+    // A key another thread raced in first keeps its value, which is the
+    // same double: distances are deterministic.
+    MutexLock lock(shard.mu);
+    shard.memo.Insert(key, out[i]);
+  }
+  if (context.held()) ReleaseContext(std::move(context));
+
+  const auto queries = static_cast<int64_t>(pairs.size()) - trivial;
+  if (queries > 0) {
+    num_queries_.Add(queries);
+    OBS_COUNTER_ADD("roadnet.sp.queries", queries);
+  }
+  if (hits > 0) {
+    num_cache_hits_.Add(hits);
+    OBS_COUNTER_ADD("roadnet.sp.cache_hits", hits);
   }
   if (trivial > 0) {
-    num_trivial_queries_.fetch_add(trivial, std::memory_order_relaxed);
+    num_trivial_queries_.Add(trivial);
+    OBS_COUNTER_ADD("roadnet.sp.trivial", trivial);
   }
-  const int64_t nontrivial = static_cast<int64_t>(n) - trivial;
-  if (nontrivial > 0) {
-    num_queries_.fetch_add(nontrivial, std::memory_order_relaxed);
-  }
-
-  // Lookup pass: one lock per touched shard. Pending computes are marked
-  // with -1.0, which Distance() can never return (edge lengths are >= 0).
-  int64_t hits = 0;
-  for (int s = 0; s < kNumShards; ++s) {
-    if (scratch.bucket[s].empty()) continue;
-    CacheShard& shard = shards_[s];
-    MutexLock lock(shard.mu);
-    for (const uint32_t i : scratch.bucket[s]) {
-      auto it = shard.map.find(PairKey(pairs[i].source, pairs[i].target));
-      if (it != shard.map.end()) {
-        out[i] = it->second;
-        ++hits;
-        ARIDE_SP_COUNT_HIT();
-      } else {
-        out[i] = -1.0;
-        scratch.misses[s].push_back(i);
-      }
-    }
-  }
-
-  std::size_t num_misses = 0;
-  for (const auto& m : scratch.misses) num_misses += m.size();
-  if (num_misses > 0) {
-    // All misses in the batch share one pooled backend context.
-    std::unique_ptr<ContractionHierarchy::Query> ch_query;
-    std::unique_ptr<DijkstraSearch> search;
-    {
-      MutexLock lock(pool_mu_);
-      if (backend_ == Backend::kContractionHierarchy) {
-        if (!ch_pool_.empty()) {
-          ch_query = std::move(ch_pool_.back());
-          ch_pool_.pop_back();
-        }
-      } else if (!dijkstra_pool_.empty()) {
-        search = std::move(dijkstra_pool_.back());
-        dijkstra_pool_.pop_back();
-      }
-    }
-    if (backend_ == Backend::kContractionHierarchy) {
-      if (ch_query == nullptr) {
-        ch_query = std::make_unique<ContractionHierarchy::Query>(ch_.get());
-      }
-    } else if (search == nullptr) {
-      search = std::make_unique<DijkstraSearch>(network_);
-    }
-
-    for (int s = 0; s < kNumShards; ++s) {
-      if (scratch.misses[s].empty()) continue;
-      for (const uint32_t i : scratch.misses[s]) {
-        const uint64_t key = PairKey(pairs[i].source, pairs[i].target);
-        auto it = scratch.computed.find(key);
-        if (it != scratch.computed.end()) {
-          out[i] = it->second;
-          ++hits;
-          ARIDE_SP_COUNT_HIT();
-          continue;
-        }
-        double d;
-        {
-          // Same 1-in-16 sampling as ComputeUncached, per compute.
-          OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
-          d = ch_query != nullptr
-                  ? ch_query->ShortestDistance(pairs[i].source,
-                                               pairs[i].target)
-                  : search->ShortestDistance(pairs[i].source,
-                                             pairs[i].target);
-        }
-        out[i] = d;
-        scratch.computed.emplace(key, d);
-      }
-      // Publish this shard's fresh results with one lock. emplace ignores
-      // keys another thread raced in first; values are deterministic, so
-      // whichever insert wins stores the same double.
-      CacheShard& shard = shards_[s];
-      MutexLock lock(shard.mu);
-      for (const uint32_t i : scratch.misses[s]) {
-        shard.map.emplace(PairKey(pairs[i].source, pairs[i].target), out[i]);
-      }
-    }
-
-    {
-      MutexLock lock(pool_mu_);
-      if (ch_query != nullptr) ch_pool_.push_back(std::move(ch_query));
-      if (search != nullptr) dijkstra_pool_.push_back(std::move(search));
-    }
-  }
-  if (hits > 0) num_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
 }
 
 }  // namespace auctionride

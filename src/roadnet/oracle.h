@@ -3,27 +3,30 @@
 //
 // The paper (§III-A) treats the inter-location distances purely as inputs
 // with per-query cost O(q); this oracle makes q small via contraction
-// hierarchies plus a sharded memo cache. A plain Dijkstra backend is kept as
-// the reference implementation for correctness tests and ablations.
+// hierarchies plus a sharded memo cache of flat hash tables. A plain
+// Dijkstra backend is kept as the reference implementation for correctness
+// tests and ablations.
 //
 // Thread-safety: Distance()/TravelTime() may be called concurrently; query
-// contexts are pooled internally and the cache uses sharded locks.
+// contexts are pooled internally and the cache uses sharded locks. Query
+// counts go to per-thread counter cells, so workers never share a counter
+// line.
 
 #ifndef AUCTIONRIDE_ROADNET_ORACLE_H_
 #define AUCTIONRIDE_ROADNET_ORACLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/units.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/dijkstra.h"
+#include "roadnet/distance_memo.h"
 #include "roadnet/graph.h"
 
 namespace auctionride {
@@ -58,10 +61,9 @@ class DistanceOracle {
   /// Batched Distance(): fills out[i] = Distance(pairs[i].source,
   /// pairs[i].target). Semantically and statistically identical to the
   /// equivalent sequence of Distance() calls (same values, same query /
-  /// cache-hit / trivial counts, same ThreadQueryCount() charge), but each
-  /// touched cache shard is locked once per lookup pass instead of once per
-  /// pair, and all misses in the batch share a single pooled query context.
-  /// `out.size()` must equal `pairs.size()`.
+  /// cache-hit / trivial counts, same ThreadQueryCount() charge), but all
+  /// misses in the batch share one pooled search context and the counters
+  /// are updated once per batch. `out.size()` must equal `pairs.size()`.
   void DistanceBatch(std::span<const NodePair> pairs,
                      std::span<double> out) const;
 
@@ -93,16 +95,12 @@ class DistanceOracle {
   /// Cumulative query statistics (for the ablation bench). num_queries()
   /// counts only non-trivial queries (source != target) — the ones that
   /// reach the cache — so hit rate is hits/queries without bias from
-  /// trivial zero-distance answers, which are counted separately.
-  int64_t num_queries() const {
-    return num_queries_.load(std::memory_order_relaxed);
-  }
-  int64_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t num_trivial_queries() const {
-    return num_trivial_queries_.load(std::memory_order_relaxed);
-  }
+  /// trivial zero-distance answers, which are counted separately. Every
+  /// count also goes to the registry's roadnet.sp.* counter of the same
+  /// meaning, at the same moment, so with one oracle the two agree exactly.
+  int64_t num_queries() const { return num_queries_.value(); }
+  int64_t num_cache_hits() const { return num_cache_hits_.value(); }
+  int64_t num_trivial_queries() const { return num_trivial_queries_.value(); }
 
   /// Monotone count of Distance() calls made by the *calling thread* across
   /// all oracles (trivial and cached queries included). Dispatchers meter
@@ -115,13 +113,21 @@ class DistanceOracle {
  private:
   static constexpr int kNumShards = 16;
 
-  struct CacheShard {
+  struct alignas(64) CacheShard {
     Mutex mu;
-    // Membership-only map (find/emplace, never iterated).
-    std::unordered_map<uint64_t, double> map ARIDE_GUARDED_BY(mu);
+    DistanceMemo memo ARIDE_GUARDED_BY(mu);
   };
 
-  double ComputeUncached(NodeId source, NodeId target) const;
+  // A pooled backend search context: `ch` for the CH backend, `dijkstra`
+  // for the Dijkstra one; both null while none is held.
+  struct SearchContext {
+    std::unique_ptr<ContractionHierarchy::Query> ch;
+    std::unique_ptr<DijkstraSearch> dijkstra;
+    bool held() const { return ch != nullptr || dijkstra != nullptr; }
+  };
+
+  SearchContext AcquireContext() const;
+  void ReleaseContext(SearchContext context) const;
 
   const RoadNetwork* network_;
   Backend backend_;
@@ -129,17 +135,14 @@ class DistanceOracle {
   double lb_scale_ = 0;
   std::unique_ptr<ContractionHierarchy> ch_;
 
-  // Pools of per-thread query contexts, lazily grown.
+  // Idle search contexts, lazily grown to the number of concurrent callers.
   mutable Mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<ContractionHierarchy::Query>> ch_pool_
-      ARIDE_GUARDED_BY(pool_mu_);
-  mutable std::vector<std::unique_ptr<DijkstraSearch>> dijkstra_pool_
-      ARIDE_GUARDED_BY(pool_mu_);
+  mutable std::vector<SearchContext> pool_ ARIDE_GUARDED_BY(pool_mu_);
 
   mutable std::unique_ptr<CacheShard[]> shards_;
-  mutable std::atomic<int64_t> num_queries_{0};
-  mutable std::atomic<int64_t> num_cache_hits_{0};
-  mutable std::atomic<int64_t> num_trivial_queries_{0};
+  mutable obs::Counter num_queries_;
+  mutable obs::Counter num_cache_hits_;
+  mutable obs::Counter num_trivial_queries_;
 };
 
 }  // namespace auctionride

@@ -60,6 +60,31 @@ TEST(ObsStressTest, ConcurrentMetricUpdatesAndSnapshots) {
   EXPECT_DOUBLE_EQ(snap.gauges.at("stress.gauge"), kOpsPerThread - 1);
 }
 
+// Counter cells belong to threads, and an exiting thread's slot passes to
+// a later thread. Waves of short-lived threads must neither lose nor double
+// any add, and Reset() must zero the value without touching the cells.
+TEST(ObsStressTest, CounterStaysExactAcrossThreadChurnAndReset) {
+  Counter counter;
+  constexpr int kWaves = 4;
+  constexpr int kThreads = 8;
+  constexpr int kAdds = 5000;
+  auto wave = [&counter] {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&counter] {
+        for (int i = 0; i < kAdds; ++i) counter.Add(1);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  };
+  for (int w = 0; w < kWaves; ++w) wave();
+  EXPECT_EQ(counter.value(), int64_t{kWaves} * kThreads * kAdds);
+  counter.Reset();
+  EXPECT_EQ(counter.value(), 0);
+  wave();
+  EXPECT_EQ(counter.value(), int64_t{kThreads} * kAdds);
+}
+
 TEST(ObsStressTest, ConcurrentTracingAndSerialization) {
 #if defined(ARIDE_OBS_DISABLED)
   GTEST_SKIP() << "OBS_TRACE_* macros are no-ops with ARIDE_OBS=OFF";

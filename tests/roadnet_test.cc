@@ -1,20 +1,56 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "ch_reference.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "roadnet/astar.h"
 #include "roadnet/builder.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/dijkstra.h"
+#include "roadnet/distance_memo.h"
 #include "roadnet/graph.h"
 #include "roadnet/nearest_node.h"
 #include "roadnet/oracle.h"
+#include "obs/metrics.h"
 #include "testutil.h"
 
 namespace auctionride {
 namespace {
+
+using NodePairs = std::vector<std::pair<NodeId, NodeId>>;
+
+NodePairs AllOrderedPairs(const RoadNetwork& net) {
+  NodePairs pairs;
+  for (NodeId s = 0; s < net.num_nodes(); ++s) {
+    for (NodeId t = 0; t < net.num_nodes(); ++t) pairs.emplace_back(s, t);
+  }
+  return pairs;
+}
+
+// The production query must return the reference query's double bit for
+// bit: stall-on-demand and the rank-ordered layout prune work, never change
+// a distance.
+void ExpectBitwiseEqualToReference(const RoadNetwork& net,
+                                   const NodePairs& pairs) {
+  ContractionHierarchy ch(&net);
+  ContractionHierarchy::Query query(&ch);
+  testutil::ReferenceChQuery reference(&ch);
+  int64_t mismatches = 0;
+  for (const auto& [s, t] : pairs) {
+    const double got = query.ShortestDistance(s, t);
+    const double want = reference.ShortestDistance(s, t);
+    if (std::memcmp(&got, &want, sizeof got) != 0 && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch: s=" << s << " t=" << t
+                    << " got=" << got << " want=" << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << pairs.size() << " pairs";
+}
 
 TEST(RoadNetworkTest, BuildAndAdjacency) {
   RoadNetwork net;
@@ -159,15 +195,19 @@ struct ChCase {
 class ContractionHierarchyPropertyTest
     : public ::testing::TestWithParam<ChCase> {};
 
-TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
-  const ChCase& c = GetParam();
+RoadNetwork PropertyCaseNetwork(const ChCase& c) {
   GridNetworkOptions options;
   options.columns = c.columns;
   options.rows = c.rows;
   options.spacing_m = 300;
   options.removal_fraction = c.removal;
   options.seed = c.seed;
-  RoadNetwork net = BuildGridNetwork(options);
+  return BuildGridNetwork(options);
+}
+
+TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
+  const ChCase& c = GetParam();
+  RoadNetwork net = PropertyCaseNetwork(c);
   ContractionHierarchy ch(&net);
   ContractionHierarchy::Query query(&ch);
   DijkstraSearch reference(&net);
@@ -183,6 +223,11 @@ TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
   }
 }
 
+TEST_P(ContractionHierarchyPropertyTest, BitwiseEqualsReferenceOnAllPairs) {
+  const RoadNetwork net = PropertyCaseNetwork(GetParam());
+  ExpectBitwiseEqualToReference(net, AllOrderedPairs(net));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ContractionHierarchyPropertyTest,
     ::testing::Values(ChCase{6, 6, 0.0, 1}, ChCase{10, 10, 0.1, 2},
@@ -194,8 +239,8 @@ INSTANTIATE_TEST_SUITE_P(
 class ContractionHierarchyDirectedTest
     : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
-  Rng rng(GetParam() + 900);
+// A 9 x 9 two-way lattice plus 25 one-way express arcs drawn from `rng`.
+RoadNetwork OneWayLattice(Rng& rng) {
   RoadNetwork net;
   const int cols = 9;
   const int rows = 9;
@@ -222,7 +267,12 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
                 EuclideanDistance(net.position(a), net.position(b)) * 0.9);
   }
   net.Build();
+  return net;
+}
 
+TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
+  Rng rng(GetParam() + 900);
+  RoadNetwork net = OneWayLattice(rng);
   ContractionHierarchy ch(&net);
   ContractionHierarchy::Query query(&ch);
   DijkstraSearch reference(&net);
@@ -239,6 +289,12 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
     ASSERT_NEAR(query.ShortestDistance(t, s), backward, 1e-6);
   }
   EXPECT_GT(asymmetric, 0) << "test graph should be genuinely directed";
+}
+
+TEST_P(ContractionHierarchyDirectedTest, BitwiseEqualsReferenceOnAllPairs) {
+  Rng rng(GetParam() + 900);
+  const RoadNetwork net = OneWayLattice(rng);
+  ExpectBitwiseEqualToReference(net, AllOrderedPairs(net));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContractionHierarchyDirectedTest,
@@ -569,6 +625,119 @@ INSTANTIATE_TEST_SUITE_P(Backends, OracleBatchTest,
                          ::testing::Values(
                              DistanceOracle::Backend::kDijkstra,
                              DistanceOracle::Backend::kContractionHierarchy));
+
+TEST(ContractionHierarchyTest, BitwiseEqualsReferenceOnBeijingLikeNetwork) {
+  const RoadNetwork net = BuildBeijingLikeNetwork(7);
+  Rng rng(2024);
+  const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
+  // Half uniform pairs, half pairs under 3 km apart: the pickup-radius
+  // queries that dominate dispatch.
+  NodePairs pairs;
+  while (pairs.size() < 25000) {
+    const auto s = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    const auto t = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    if (pairs.size() % 2 == 0 ||
+        EuclideanDistance(net.position(s), net.position(t)) < 3000) {
+      pairs.emplace_back(s, t);
+    }
+  }
+  ExpectBitwiseEqualToReference(net, pairs);
+}
+
+TEST(DistanceMemoTest, GrowsAcrossResizesAndKeepsEveryEntry) {
+  DistanceMemo memo;
+  EXPECT_EQ(memo.Find(42), nullptr);
+  auto key = [](int i) {
+    return (static_cast<uint64_t>(i % 97) << 32) | static_cast<uint64_t>(i);
+  };
+  std::size_t last_capacity = 0;
+  int resizes = 0;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(memo.Insert(key(i), 0.5 * i));
+    if (memo.capacity() != last_capacity) {
+      ++resizes;
+      last_capacity = memo.capacity();
+      // Power of two, at most half full.
+      EXPECT_EQ(last_capacity & (last_capacity - 1), 0u);
+      EXPECT_LE(2 * memo.size(), last_capacity);
+    }
+  }
+  EXPECT_GE(resizes, 10);
+  EXPECT_EQ(memo.size(), 20000u);
+  for (int i = 0; i < 20000; ++i) {
+    const double* d = memo.Find(key(i));
+    ASSERT_NE(d, nullptr) << i;
+    EXPECT_EQ(*d, 0.5 * i);
+  }
+  EXPECT_EQ(memo.Find(key(20000)), nullptr);
+}
+
+TEST(DistanceMemoTest, DuplicateInsertKeepsTheFirstValue) {
+  DistanceMemo memo;
+  EXPECT_TRUE(memo.Insert(7, 1.25));
+  EXPECT_FALSE(memo.Insert(7, 9.0));
+  ASSERT_NE(memo.Find(7), nullptr);
+  EXPECT_EQ(*memo.Find(7), 1.25);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+// The oracle's counts and the registry's roadnet.sp.* counters are bumped
+// together on every call, so they agree exactly even when four threads mix
+// Distance() and DistanceBatch() calls.
+TEST(OracleTest, RegistryCountersEqualOracleCountsAcrossFourThreads) {
+#if defined(ARIDE_OBS_DISABLED)
+  GTEST_SKIP() << "registry counters are no-ops with ARIDE_OBS=OFF";
+#endif
+  RoadNetwork net = BuildGridNetwork(
+      {.columns = 12, .rows = 12, .spacing_m = 300, .seed = 78});
+  const DistanceOracle oracle(&net,
+                              DistanceOracle::Backend::kContractionHierarchy);
+  auto& registry = obs::MetricRegistry::Global();
+  obs::Counter* queries = registry.GetCounter("roadnet.sp.queries");
+  obs::Counter* hits = registry.GetCounter("roadnet.sp.cache_hits");
+  obs::Counter* trivial = registry.GetCounter("roadnet.sp.trivial");
+  const int64_t queries_before = queries->value();
+  const int64_t hits_before = hits->value();
+  const int64_t trivial_before = trivial->value();
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 3000;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&oracle, &net, w] {
+      Rng rng(500 + w);
+      const auto n = static_cast<uint64_t>(net.num_nodes());
+      for (int i = 0; i < kCalls; ++i) {
+        const auto s = static_cast<NodeId>(rng.UniformInt(n));
+        // Every fifth pair is trivial, and only those.
+        const auto t = i % 5 == 0 ? s
+                                  : static_cast<NodeId>(
+                                        (static_cast<uint64_t>(s) + 1 +
+                                         rng.UniformInt(n - 1)) %
+                                        n);
+        if (i % 2 == 0) {
+          oracle.Distance(s, t);
+        } else {
+          const DistanceOracle::NodePair batch[] = {{s, t}, {t, s}, {s, t}};
+          double out[3];
+          oracle.DistanceBatch(batch, out);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  // Per thread: 1500 single calls and 1500 batches of 3 pairs; 600 of the
+  // 3000 iterations draw a trivial pair.
+  constexpr int64_t kPairs = kThreads * (kCalls / 2 + 3 * (kCalls / 2));
+  constexpr int64_t kTrivial = kThreads * (300 + 3 * 300);
+  EXPECT_EQ(oracle.num_trivial_queries(), kTrivial);
+  EXPECT_EQ(oracle.num_queries(), kPairs - kTrivial);
+  EXPECT_GT(oracle.num_cache_hits(), 0);
+  EXPECT_EQ(queries->value() - queries_before, oracle.num_queries());
+  EXPECT_EQ(hits->value() - hits_before, oracle.num_cache_hits());
+  EXPECT_EQ(trivial->value() - trivial_before, oracle.num_trivial_queries());
+}
 
 }  // namespace
 }  // namespace auctionride
