@@ -1,12 +1,16 @@
-// Bonus bidding (Use case 1 of the paper): during vehicle shortage, a
-// requester sweeps his/her bonus bid and observes the auction's behaviour —
-// below the critical payment the order is never dispatched; at or above it,
-// the order wins and the payment *stays at the critical value* regardless of
-// the bid (so bidding one's true valuation is optimal and safe).
+// Bonus bidding (Use case 1 of the paper): during vehicle shortage the
+// platform shows each requester a base price for the trip and the requester
+// bids only a *bonus* on top (auction/bonus.h). One requester sweeps its
+// bonus and observes the auction's behaviour — below the critical bonus the
+// order is never dispatched; at or above it, the order wins and the payment
+// *stays at the critical value* regardless of the bonus offered (so bidding
+// one's true bonus valuation is optimal and safe). Each payment is split
+// back into the base fare and the bonus actually charged.
 
 #include <cstdio>
 #include <vector>
 
+#include "auction/bonus.h"
 #include "auction/dnw.h"
 #include "auction/rank.h"
 #include "common/table.h"
@@ -31,45 +35,63 @@ int main() {
   wl.num_vehicles = 4;
   wl.gamma = 1.6;
   wl.min_trip_m = 1000;
-  Workload workload = GenerateSingleRound(wl, oracle, nearest);
-  std::vector<Order> orders = workload.orders;
+  const Workload workload = GenerateSingleRound(wl, oracle, nearest);
   std::vector<Vehicle> vehicles;
   for (const VehicleSpawn& spawn : workload.vehicles) {
     vehicles.push_back(spawn.vehicle);
   }
 
-  AuctionInstance instance;
-  instance.orders = &orders;
-  instance.vehicles = &vehicles;
-  instance.oracle = &oracle;
-  instance.config.alpha_d_per_km = 3.0;
-
-  // Probe requester 0: sweep its bid and watch dispatch/payment/utility.
+  // Every other requester offers a bonus of 0-6 yuan over the base fare.
+  const FareModel fare;
   const OrderId probe = 0;
-  const double valuation = orders[0].valuation.value();
-  std::printf("probed requester %d: valuation %.2f yuan, trip %.1f km\n\n",
-              probe, valuation,
-              orders[0].shortest_distance_m.value() / 1000.0);
+  std::vector<BonusQuote> quotes;
+  for (const Order& o : workload.orders) {
+    if (o.id == probe) continue;
+    quotes.push_back({o.id, fare.BasePrice(o), Money(2.0 * (o.id % 4))});
+  }
+  const Order& probed = workload.orders[static_cast<std::size_t>(probe)];
+  const Money base = fare.BasePrice(probed);
+  const Money true_bonus(12.0);  // what the ride is worth to the requester
+  std::printf("probed requester %d: base price %.2f yuan, true bonus "
+              "valuation %.2f yuan, trip %.1f km\n\n",
+              probe, base.value(), true_bonus.value(),
+              probed.shortest_distance_m.value() / 1000.0);
 
-  TablePrinter table({"bid", "dispatched", "payment", "rider utility"});
-  for (double factor : {0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0}) {
-    const double bid = valuation * factor;
-    orders[0].bid = Money(bid);
+  TablePrinter table({"bonus", "bid", "dispatched", "payment", "base part",
+                      "bonus part", "rider utility"});
+  for (const double bonus : {0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 15.0,
+                             20.0}) {
+    std::vector<BonusQuote> round_quotes = quotes;
+    round_quotes.push_back({probe, base, Money(bonus)});
+    const std::vector<Order> orders =
+        ApplyBonusQuotes(workload.orders, fare, round_quotes);
+
+    AuctionInstance instance;
+    instance.orders = &orders;
+    instance.vehicles = &vehicles;
+    instance.oracle = &oracle;
+    instance.config.alpha_d_per_km = 3.0;
     const RankRunResult run = RankDispatch(instance);
+    const double bid = orders[static_cast<std::size_t>(probe)].bid.value();
     if (run.result.IsDispatched(probe)) {
-      const double pay =
-          DnWPriceOrder(instance, run.artifacts, probe).value();
-      table.AddRow({FormatDouble(bid), "yes", FormatDouble(pay),
-                    FormatDouble(valuation - pay)});
+      const Money pay = DnWPriceOrder(instance, run.artifacts, probe);
+      const PaymentBreakdown split = SplitPayment(probed, fare, pay);
+      table.AddRow({FormatDouble(bonus), FormatDouble(bid), "yes",
+                    FormatDouble(pay.value()),
+                    FormatDouble(split.base_part.value()),
+                    FormatDouble(split.bonus_part.value()),
+                    FormatDouble((base + true_bonus - pay).value())});
     } else {
-      table.AddRow({FormatDouble(bid), "no", "-", "0.00"});
+      table.AddRow({FormatDouble(bonus), FormatDouble(bid), "no", "-", "-",
+                    "-", "0.00"});
     }
   }
   table.Print();
 
   std::printf(
-      "\nNote how the payment is flat above the critical bid: over-bidding\n"
-      "never increases the charge, and bids below it never win — the\n"
-      "requester's best strategy is to bid the true valuation (Def. 11).\n");
+      "\nNote how the payment is flat above the critical bonus: offering\n"
+      "more never increases the charge, and bonuses below it never win —\n"
+      "the requester's best strategy is to bid the true bonus valuation\n"
+      "(Def. 11).\n");
   return 0;
 }

@@ -14,6 +14,18 @@
 
 namespace auctionride {
 
+namespace {
+
+// A pool of `threads` workers; <= 0 means hardware concurrency.
+std::unique_ptr<ThreadPool> MakePool(int threads) {
+  const int n = threads > 0
+                    ? threads
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  return std::make_unique<ThreadPool>(static_cast<std::size_t>(std::max(1, n)));
+}
+
+}  // namespace
+
 // All per-shard state one round task touches. Between the fan-out and the
 // serial merge barrier, a shard's fields are written only by its own task.
 struct Engine::Shard {
@@ -74,32 +86,21 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     // Shard 0 inherits the engine seed unchanged so a one-shard engine
-    // replays the legacy simulator's idle-walk stream exactly; the others
-    // get independent splitmix-stepped streams.
+    // replays the single-world idle-walk stream exactly; the others get
+    // independent splitmix-stepped streams.
     const uint64_t shard_seed =
         options_.seed +
         static_cast<uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
     shard->world = std::make_unique<ShardWorld>(
         oracle_, orders_, &ledger_, world_options, shard_seed);
     if (options_.num_shards == 1) {
-      // Legacy pool parity (sim/simulator.cc): identical pools mean the
-      // single-shard engine and the Simulator execute RunMechanism with
-      // identical parallel structure.
+      // Only a lone shard gets mechanism pools: with several shards the
+      // parallelism budget belongs to the shard fan-out.
       if (options_.run_pricing) {
-        const int threads =
-            options_.pricing_threads > 0
-                ? options_.pricing_threads
-                : static_cast<int>(std::thread::hardware_concurrency());
-        shard->pricing_pool = std::make_unique<ThreadPool>(
-            static_cast<std::size_t>(std::max(1, threads)));
+        shard->pricing_pool = MakePool(options_.pricing_threads);
       }
       if (options_.dispatch_threads >= 0) {
-        const int threads =
-            options_.dispatch_threads > 0
-                ? options_.dispatch_threads
-                : static_cast<int>(std::thread::hardware_concurrency());
-        shard->dispatch_pool = std::make_unique<ThreadPool>(
-            static_cast<std::size_t>(std::max(1, threads)));
+        shard->dispatch_pool = MakePool(options_.dispatch_threads);
       }
     }
     shards_.push_back(std::move(shard));
@@ -114,12 +115,7 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
                                   options_.service_round_budget_ms > 0);
 
   if (options_.engine_threads >= 0 && options_.num_shards > 1) {
-    const int threads =
-        options_.engine_threads > 0
-            ? options_.engine_threads
-            : static_cast<int>(std::thread::hardware_concurrency());
-    engine_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(std::max(1, threads)));
+    engine_pool_ = MakePool(options_.engine_threads);
   }
   stats_.shards.resize(shards_.size());
 }
@@ -180,6 +176,8 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
       mech_options.run_pricing = options_.run_pricing;
       if (options_.faults.round_budget_s > 0) {
         const bool spike = fault_plan_.IsSpikeRound(round_index_);
+        // A purely synthetic budget only matters on spike rounds (non-spike
+        // rounds charge nothing), so skip the ladder machinery otherwise.
         if (options_.faults.wall_clock_budget || spike) {
           mech_options.budget.budget_s = options_.faults.round_budget_s;
           mech_options.budget.wall_clock = options_.faults.wall_clock_budget;
@@ -201,6 +199,8 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
                        sh.pricing_pool.get(), sh.dispatch_pool.get());
 
       if (options_.verify_dispatch) {
+        // The dispatch ran on charge-deducted bids; re-derive them for the
+        // verifier's utility accounting.
         std::vector<Order> deducted = pass.submitted;
         for (Order& o : deducted) {
           o.bid *= (1.0 - options_.auction.charge_ratio);
@@ -225,8 +225,9 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
       sh.platform_utility = outcome.platform_utility;
       sh.requester_utility = outcome.requester_utility;
       if (warm_enabled_) {
-        // Mirror of sim/simulator.cc: survivors become next round's hints,
-        // minus what the outcome just invalidated.
+        // Survivors become next round's hints, minus what the outcome just
+        // invalidated: dispatched orders leave the pool, and a vehicle with
+        // a new plan makes its old hints stale.
         sh.warm.Clear();
         for (const auto& [order, vehicle] :
              outcome.dispatch.surviving_pairs) {

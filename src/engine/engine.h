@@ -1,4 +1,4 @@
-// Always-on sharded dispatch engine.
+// Always-on sharded dispatch engine: the one round driver.
 //
 // The city is partitioned into region shards (engine/partition.h). Each
 // shard owns its vehicles, its slice of the pending-order pool, and an
@@ -12,11 +12,12 @@
 // engine's exec::ThreadPool, then merges their buffered EffectBatches
 // serially in ascending shard order — so a given seed and configuration
 // produce bit-identical results at any engine thread count, and a one-shard
-// engine reproduces the legacy Simulator exactly (docs/ENGINE.md).
+// engine reproduces the straight-line single-world loop of
+// tests/sim_reference.h exactly (docs/ENGINE.md).
 //
-// Clients drive the engine: the simulator's round-driving adapter
-// (sim/engine_client.h) and the replay/load-generator CLI
-// (examples/engine_load.cpp) both submit orders and call StepRound().
+// Clients drive the engine: the paper's round-based simulation
+// (sim/simulator.h, which replays a workload) and the replay/load-generator
+// CLI (examples/engine_load.cpp) both submit orders and call StepRound().
 
 #ifndef AUCTIONRIDE_ENGINE_ENGINE_H_
 #define AUCTIONRIDE_ENGINE_ENGINE_H_
@@ -40,20 +41,42 @@
 namespace auctionride {
 
 struct EngineOptions {
-  // Auction knobs, mirroring SimOptions (sim/simulator.h documents them).
   MechanismKind mechanism = MechanismKind::kRank;
   AuctionConfig auction;
-  Seconds round_duration_s{10};
-  Seconds max_pending_s{300};
+
+  Seconds round_duration_s{10};  // t_rnd, paper default 10 s
+  Seconds max_pending_s{300};    // orders are dropped after 5 minutes
+
+  // Bonus escalation (paper §II-B: "the losing requesters in a round can
+  // increase their bids in the next dispatch round"): every round an order
+  // stays pended, its bid grows by this amount (yuan). 0 disables.
   Money pending_bid_increment;
+
+  // Pricing (GPri/DnW) is much more expensive than dispatch; the
+  // dispatch-only experiments (Figs 3-5, 8) turn it off.
   bool run_pricing = false;
-  int pricing_threads = 0;   // single-shard only (legacy pool parity)
-  int dispatch_threads = 0;  // single-shard only; multi-shard runs serial
+  // Pricing workers; <= 0 = hardware concurrency. Single-shard only.
+  int pricing_threads = 0;
+  // Workers for parallel dispatch candidate generation (results are
+  // bit-identical to serial). 0 = hardware concurrency; negative = serial.
+  // Single-shard only; multi-shard runs dispatch serially inside each shard
+  // task.
+  int dispatch_threads = 0;
+
+  // Re-validate every round's dispatch with auction::VerifyDispatch
+  // (structure, Definition 4 feasibility, accounting). Cheap relative to
+  // dispatch; on by default in tests, available in production for paranoia.
   bool verify_dispatch = false;
-  uint64_t seed = 1;
+
+  uint64_t seed = 1;  // drives the idle random walk
+
+  // Fault injection + degradation budgets (docs/ROBUSTNESS.md). Inactive by
+  // default. Callers usually set this to FaultOptionsForProfile(profile,
+  // seed) or FaultOptionsFromEnv(seed) — passing the engine seed keeps one
+  // knob reproducing the whole run.
   FaultOptions faults;
 
-  // --- Engine-specific knobs ---
+  // --- Sharding and service-mode knobs ---
   int num_shards = 1;
   // Workers of the pool the shard round tasks run on. 0 = hardware
   // concurrency, negative = serial on the caller thread. Never changes
@@ -163,8 +186,9 @@ class Engine {
   std::vector<OrderLedgerEntry> ledger_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> engine_pool_;
-  // Per-shard warm-start caches live in Shard; they only carry hints when a
-  // budget can truncate a round (mirrors sim/simulator.cc warm_enabled_).
+  // Per-shard warm-start caches live in Shard. Warm starts only pay off when
+  // a budget can truncate a round; keeping the caches off otherwise keeps
+  // budget-free runs byte-identical to the pre-anytime behavior.
   bool warm_enabled_ = false;
 
   Seconds clock_s_;

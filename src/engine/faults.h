@@ -1,10 +1,10 @@
-// Deterministic fault injection for the dispatch engine and simulator
+// Deterministic fault injection for the dispatch engine
 // (docs/ROBUSTNESS.md).
 //
 // A FaultPlan decides — purely from (seed, round, entity id) hash chains —
 // which busy vehicles break down, which dispatched-but-unpicked orders
 // cancel, and which rounds suffer a synthetic oracle latency spike. Because
-// the plan never draws from the simulator's Rng stream, enabling faults does
+// the plan never draws from the world's Rng stream, enabling faults does
 // not perturb the idle random walk, and the same seed + profile reproduces
 // the exact same fault schedule regardless of thread count or mechanism.
 
@@ -32,9 +32,9 @@ bool ParseFaultProfile(std::string_view name, FaultProfile* out);
 
 struct FaultOptions {
   FaultProfile profile = FaultProfile::kNone;
-  // Seed of the fault hash chains. Independent of SimOptions::seed so fault
-  // schedules can be varied while holding the workload/walk fixed (the
-  // simulator passes its own seed by default).
+  // Seed of the fault hash chains. Independent of EngineOptions::seed so
+  // fault schedules can be varied while holding the workload/walk fixed
+  // (callers pass the engine seed by default).
   uint64_t seed = 1;
 
   // Per-round probability that an online busy vehicle goes offline,

@@ -1,9 +1,10 @@
-// Dispatch run results shared by the engine and the simulator.
+// Dispatch run results of the engine.
 //
-// SimResult is the common currency of every engine client: the legacy
-// round-based Simulator, the sharded Engine, and the replay/load-generator
-// CLI all aggregate into the same structure, which is what makes
-// "engine-mode is bit-identical to the simulator" a checkable contract
+// SimResult is the common currency of every engine client: the round-based
+// simulation (sim/simulator.h), the replay/load-generator CLI and the
+// single-world reference loop of tests/sim_reference.h all aggregate into
+// the same structure, which is what makes "a one-shard engine is
+// bit-identical to the reference" a checkable contract
 // (tests/engine_determinism_test.cc).
 
 #ifndef AUCTIONRIDE_ENGINE_RESULT_H_
@@ -59,8 +60,8 @@ struct RoundRecord {
   // True when the round budget expired and the dispatch was cut (anytime)
   // or a tier was abandoned (cliff).
   bool truncated = false;
-  // Region shard that ran this round's auction (always 0 in the legacy
-  // simulator; engine runs emit one record per shard-round that auctioned).
+  // Region shard that ran this round's auction (always 0 with one shard;
+  // engine runs emit one record per shard-round that auctioned).
   int shard = 0;
 };
 

@@ -45,11 +45,10 @@ class AnytimeDispatchTest : public ::testing::Test {
     return GenerateWorkload(options, *oracle_, *nearest_);
   }
 
-  SimResult RunOnce(const SimOptions& options, int orders = 60,
+  SimResult RunOnce(const EngineOptions& options, int orders = 60,
                     int vehicles = 25, uint64_t wl_seed = 11) {
-    Simulator sim(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
-                  options);
-    return sim.Run();
+    return Simulate(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
+                    options);
   }
 
   RoadNetwork net_;
@@ -106,8 +105,8 @@ void ExpectSameResult(const SimResult& a, const SimResult& b) {
   }
 }
 
-SimOptions BaseOptions(MechanismKind mechanism) {
-  SimOptions options;
+EngineOptions BaseOptions(MechanismKind mechanism) {
+  EngineOptions options;
   options.mechanism = mechanism;
   options.run_pricing = true;
   options.verify_dispatch = true;  // verifier contracts on every round
@@ -118,8 +117,8 @@ SimOptions BaseOptions(MechanismKind mechanism) {
 // A storm tuned so the synthetic budget expires mid-sweep on spike rounds:
 // the per-query penalty is small enough that the first few batches complete
 // (keeping partial winners) but large enough that a full round does not fit.
-SimOptions TruncatingStorm(MechanismKind mechanism) {
-  SimOptions options = BaseOptions(mechanism);
+EngineOptions TruncatingStorm(MechanismKind mechanism) {
+  EngineOptions options = BaseOptions(mechanism);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.spike_prob_per_round = 1.0;
   options.faults.spike_query_penalty_s = 2e-3;
@@ -188,9 +187,9 @@ TEST_F(AnytimeDispatchTest, TruncationIsBitIdenticalAcrossThreadCounts) {
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions serial = TruncatingStorm(mechanism);
+    EngineOptions serial = TruncatingStorm(mechanism);
     serial.dispatch_threads = -1;
-    SimOptions threaded = serial;
+    EngineOptions threaded = serial;
     threaded.dispatch_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);
@@ -203,8 +202,8 @@ TEST_F(AnytimeDispatchTest, AnytimeDispatchesAtLeastAsManyAsCliff) {
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions anytime = TruncatingStorm(mechanism);
-    SimOptions cliff = anytime;
+    EngineOptions anytime = TruncatingStorm(mechanism);
+    EngineOptions cliff = anytime;
     cliff.faults.anytime = false;  // what AR_ANYTIME=0 sets
     const SimResult a = RunOnce(anytime);
     const SimResult b = RunOnce(cliff);
@@ -217,10 +216,10 @@ TEST_F(AnytimeDispatchTest, AnytimeDispatchesAtLeastAsManyAsCliff) {
 TEST_F(AnytimeDispatchTest, CliffModeStaysBitReproducible) {
   // The kill switch must reproduce the legacy cliff exactly: same options,
   // same seed, serial vs threaded — and still bit-identical.
-  SimOptions serial = TruncatingStorm(MechanismKind::kRank);
+  EngineOptions serial = TruncatingStorm(MechanismKind::kRank);
   serial.faults.anytime = false;
   serial.dispatch_threads = -1;
-  SimOptions threaded = serial;
+  EngineOptions threaded = serial;
   threaded.dispatch_threads = 8;
   const SimResult a = RunOnce(serial);
   const SimResult b = RunOnce(threaded);
@@ -230,8 +229,8 @@ TEST_F(AnytimeDispatchTest, CliffModeStaysBitReproducible) {
 TEST_F(AnytimeDispatchTest, FaultFreeRunsIgnoreTheAnytimeFlag) {
   // Without a budget there is nothing to truncate: the flag must be inert
   // and the results byte-identical either way.
-  SimOptions on = BaseOptions(MechanismKind::kRank);
-  SimOptions off = on;
+  EngineOptions on = BaseOptions(MechanismKind::kRank);
+  EngineOptions off = on;
   off.faults.anytime = false;
   const SimResult a = RunOnce(on);
   const SimResult b = RunOnce(off);
@@ -246,11 +245,11 @@ TEST_F(AnytimeDispatchTest, WarmStartSurvivesFaultChurn) {
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions serial = TruncatingStorm(mechanism);
+    EngineOptions serial = TruncatingStorm(mechanism);
     serial.faults.breakdown_prob_per_round = 0.05;
     serial.faults.cancel_prob_per_round = 0.3;
     serial.dispatch_threads = -1;
-    SimOptions threaded = serial;
+    EngineOptions threaded = serial;
     threaded.dispatch_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);

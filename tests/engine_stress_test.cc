@@ -114,16 +114,18 @@ TEST(EngineStressTest, ConcurrentSubmissionWithRebalancer) {
   Engine engine(&oracle, &orders, vehicles, options);
 
   constexpr int kProducers = 4;
+  std::atomic<std::size_t> submitted{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&engine, &orders, p] {
+    producers.emplace_back([&engine, &orders, &submitted, p] {
       for (std::size_t i = static_cast<std::size_t>(p); i < orders.size();
            i += kProducers) {
         while (engine.now_s() < orders[i].issue_time_s) {
           std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
         engine.SubmitOrder(orders[i]);
+        submitted.fetch_add(1, std::memory_order_release);
       }
     });
   }
@@ -131,6 +133,20 @@ TEST(EngineStressTest, ConcurrentSubmissionWithRebalancer) {
   const Seconds horizon = orders.back().issue_time_s +
                           options.max_pending_s + options.round_duration_s;
   while (engine.now_s() < horizon) {
+    // Wait for every order due by the previous round's clock: demand then
+    // reaches the shards, and the rebalancer, at most one round late even
+    // when StepRound outruns the producers. Orders due by the current clock
+    // still race this round.
+    const Seconds previous = engine.now_s() - options.round_duration_s;
+    const auto due = static_cast<std::size_t>(
+        std::upper_bound(orders.begin(), orders.end(), previous,
+                         [](Seconds t, const Order& o) {
+                           return t < o.issue_time_s;
+                         }) -
+        orders.begin());
+    while (submitted.load(std::memory_order_acquire) < due) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
     engine.StepRound();
   }
   for (std::thread& t : producers) t.join();

@@ -44,11 +44,10 @@ class FaultInjectionTest : public ::testing::Test {
     return GenerateWorkload(options, *oracle_, *nearest_);
   }
 
-  SimResult RunOnce(const SimOptions& options, int orders = 40,
+  SimResult RunOnce(const EngineOptions& options, int orders = 40,
                     int vehicles = 30, uint64_t wl_seed = 11) {
-    Simulator sim(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
-                  options);
-    return sim.Run();
+    return Simulate(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
+                    options);
   }
 
   RoadNetwork net_;
@@ -105,8 +104,8 @@ void ExpectSameResult(const SimResult& a, const SimResult& b) {
   }
 }
 
-SimOptions BaseOptions(MechanismKind mechanism) {
-  SimOptions options;
+EngineOptions BaseOptions(MechanismKind mechanism) {
+  EngineOptions options;
   options.mechanism = mechanism;
   options.run_pricing = true;
   options.verify_dispatch = true;
@@ -115,8 +114,8 @@ SimOptions BaseOptions(MechanismKind mechanism) {
 }
 
 TEST_F(FaultInjectionTest, NoneProfileMatchesFaultFreeRun) {
-  SimOptions plain = BaseOptions(MechanismKind::kRank);
-  SimOptions none = plain;
+  EngineOptions plain = BaseOptions(MechanismKind::kRank);
+  EngineOptions none = plain;
   none.faults = FaultOptionsForProfile(FaultProfile::kNone, plain.seed);
   const SimResult a = RunOnce(plain);
   const SimResult b = RunOnce(none);
@@ -133,10 +132,10 @@ TEST_F(FaultInjectionTest, ProfilesAreBitIdenticalAcrossThreadCounts) {
         FaultProfile::kStorm}) {
     for (const MechanismKind mechanism :
          {MechanismKind::kGreedy, MechanismKind::kRank}) {
-      SimOptions serial = BaseOptions(mechanism);
+      EngineOptions serial = BaseOptions(mechanism);
       serial.faults = FaultOptionsForProfile(profile, serial.seed);
       serial.dispatch_threads = -1;
-      SimOptions threaded = serial;
+      EngineOptions threaded = serial;
       threaded.dispatch_threads = 8;
       const SimResult a = RunOnce(serial);
       const SimResult b = RunOnce(threaded);
@@ -148,7 +147,7 @@ TEST_F(FaultInjectionTest, ProfilesAreBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(FaultInjectionTest, SameSeedReproducesFaultSchedule) {
-  SimOptions options = BaseOptions(MechanismKind::kGreedy);
+  EngineOptions options = BaseOptions(MechanismKind::kGreedy);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   const SimResult a = RunOnce(options);
   const SimResult b = RunOnce(options);
@@ -157,7 +156,7 @@ TEST_F(FaultInjectionTest, SameSeedReproducesFaultSchedule) {
 
 TEST_F(FaultInjectionTest, StormInjectsAndRecovers) {
   // Boost the rates so a small run reliably exercises every fault path.
-  SimOptions options = BaseOptions(MechanismKind::kRank);
+  EngineOptions options = BaseOptions(MechanismKind::kRank);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.breakdown_prob_per_round = 0.05;
   options.faults.cancel_prob_per_round = 0.3;
@@ -174,11 +173,11 @@ TEST_F(FaultInjectionTest, StormInjectsAndRecovers) {
 }
 
 TEST_F(FaultInjectionTest, RefundsConserveMoneyAcrossSeeds) {
-  // The always-on conservation contract inside Simulator::Run() aborts on
+  // The always-on conservation contract inside Engine::Finish() aborts on
   // any ledger mismatch; surviving a seed sweep with faults + pricing on is
   // the assertion. Spot-check the aggregates are sane on top.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SimOptions options = BaseOptions(seed % 2 == 0 ? MechanismKind::kGreedy
+    EngineOptions options = BaseOptions(seed % 2 == 0 ? MechanismKind::kGreedy
                                                    : MechanismKind::kRank);
     options.seed = seed;
     options.faults =
@@ -198,7 +197,7 @@ TEST_F(FaultInjectionTest, SpikesDriveTheDegradationLadder) {
   // Spike every round with a huge per-query penalty and a tiny budget: Rank
   // and Greedy must fall back (ultimately to FCFS) instead of blowing the
   // budget, and the degraded rounds must be counted.
-  SimOptions options = BaseOptions(MechanismKind::kRank);
+  EngineOptions options = BaseOptions(MechanismKind::kRank);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.breakdown_prob_per_round = 0;
   options.faults.cancel_prob_per_round = 0;
@@ -221,8 +220,8 @@ TEST_F(FaultInjectionTest, SpikesDriveTheDegradationLadder) {
 TEST_F(FaultInjectionTest, GenerousBudgetStaysOnPrimaryTier) {
   // Spikes with a big budget and a tiny penalty must not degrade anything,
   // and must not change the dispatch outcome at all.
-  SimOptions plain = BaseOptions(MechanismKind::kRank);
-  SimOptions spiky = plain;
+  EngineOptions plain = BaseOptions(MechanismKind::kRank);
+  EngineOptions spiky = plain;
   spiky.faults = FaultOptionsForProfile(FaultProfile::kStorm, plain.seed);
   spiky.faults.breakdown_prob_per_round = 0;
   spiky.faults.cancel_prob_per_round = 0;
@@ -236,11 +235,11 @@ TEST_F(FaultInjectionTest, GenerousBudgetStaysOnPrimaryTier) {
 }
 
 TEST_F(FaultInjectionTest, SummaryMentionsFaultsOnlyWhenPresent) {
-  SimOptions plain = BaseOptions(MechanismKind::kGreedy);
+  EngineOptions plain = BaseOptions(MechanismKind::kGreedy);
   const SimResult fault_free = RunOnce(plain);
   EXPECT_EQ(FormatSummary(fault_free).find("faults:"), std::string::npos);
 
-  SimOptions faulty = plain;
+  EngineOptions faulty = plain;
   faulty.faults =
       FaultOptionsForProfile(FaultProfile::kCancellations, plain.seed);
   faulty.faults.cancel_prob_per_round = 0.3;

@@ -242,6 +242,9 @@ TEST(InsertionPruneDeepPlanTest, MatchesReferenceOnDeepPlans) {
 
 // Counter reconciliation on every exit path of BestInsertion.
 TEST(InsertionPruneCountersTest, CapacityRejectedCountsSeparately) {
+#if defined(ARIDE_OBS_DISABLED)
+  GTEST_SKIP() << "registry counters are no-ops with ARIDE_OBS=OFF";
+#endif
   const RoadNetwork net = LatticeNetwork(4, 4, 500);
   const DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
   PruningGuard on(true);
@@ -269,6 +272,9 @@ TEST(InsertionPruneCountersTest, CapacityRejectedCountsSeparately) {
 }
 
 TEST(InsertionPruneCountersTest, WindowPrunePaysZeroQueries) {
+#if defined(ARIDE_OBS_DISABLED)
+  GTEST_SKIP() << "registry counters are no-ops with ARIDE_OBS=OFF";
+#endif
   const RoadNetwork net = LatticeNetwork(8, 8, 1000);
   const DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
   PruningGuard on(true);
@@ -300,6 +306,9 @@ TEST(InsertionPruneCountersTest, WindowPrunePaysZeroQueries) {
 // candidates = window + capacity + deadline, and no counter can exceed the
 // infeasible attempts it is a subset of.
 TEST(InsertionPruneCountersTest, TaxonomyReconcilesAcrossDispatch) {
+#if defined(ARIDE_OBS_DISABLED)
+  GTEST_SKIP() << "registry counters are no-ops with ARIDE_OBS=OFF";
+#endif
   PruningGuard on(true);
   obs::MetricRegistry::Global().ResetAll();
   for (uint64_t seed = 1; seed <= 8; ++seed) {
