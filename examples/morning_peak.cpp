@@ -9,8 +9,10 @@
 // BENCH_morning_peak.json there. Unlike engine_load (whose producer pacing
 // races the round clock), the workload is replayed from one driver thread
 // (sim/simulator.h): for a fixed seed and AR_FAULT_PROFILE the report's
-// counters are bit-reproducible, which is what the anytime-vs-cliff CI
-// ablation gate keys on (tools/check_anytime_ablation.py).
+// outcome counters are bit-reproducible (work counters such as
+// planner.insertion.* still depend on how dispatch threads interleave),
+// which is what the anytime floor CI gate keys on
+// (tools/check_anytime_floor.py).
 
 #include <cstdint>
 #include <cstdio>

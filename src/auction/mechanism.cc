@@ -1,6 +1,6 @@
 #include "auction/mechanism.h"
 
-#include <map>
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -61,183 +61,145 @@ MechanismOutcome RunMechanism(MechanismKind kind,
                     ? static_cast<double>(charged.dispatch_pool->num_threads())
                     : 0.0);
 
+  // Quality curve (docs/ROBUSTNESS.md): the budgeted tiers share one
+  // deadline; a truncated tier keeps its finalized winners and only the
+  // unassigned remainder falls through with the residual budget. Without a
+  // budget the primary tier runs to completion and is the only tier.
+  const DispatchBudget& budget = options.budget;
+  Deadline dl = budget.wall_clock
+                    ? Deadline::WallClock(budget.budget_s)
+                    : Deadline::Synthetic(budget.budget_s,
+                                          budget.query_penalty_s);
+  Deadline* const round_dl = budget.active() ? &dl : nullptr;
+  // Built only when a truncated tier falls through: the remaining orders,
+  // and the vehicles with every plan dispatched so far.
+  std::vector<Order> residual;
+  std::vector<Vehicle> patched;
+
   MechanismOutcome outcome;
-  const bool anytime_mode = options.budget.active() && options.budget.anytime;
-  WallTimer dispatch_timer;
-  Seconds pricing_elapsed;  // accumulated across anytime tiers
-  {
-    OBS_TRACE_SPAN("auction.dispatch");
-    if (anytime_mode) {
-      // Anytime quality curve (docs/ROBUSTNESS.md): every tier shares one
-      // deadline; a truncated tier keeps its finalized winners and only the
-      // unassigned remainder falls through with the residual budget. Each
-      // priced tier is priced immediately — GPri/DnW must see exactly the
-      // orders and vehicle plans that tier's dispatch saw, before the next
-      // tier's plans land.
-      Deadline dl = options.budget.wall_clock
-                        ? Deadline::WallClock(options.budget.budget_s)
-                        : Deadline::Synthetic(options.budget.budget_s,
-                                              options.budget.query_penalty_s);
-      std::vector<Order> residual = deducted;
-      std::vector<Vehicle> patched = *instance.vehicles;
-      // std::map: updated_plans are emitted in vehicle-index order.
-      std::map<std::size_t, std::vector<PlanStop>> merged_plans;
-      DispatchResult merged;
-      DispatchTier deepest_ran = DispatchTier::kPrimary;
-      for (const DispatchTier tier : LadderTiers(kind)) {
-        if (residual.empty()) break;
-        const bool budgeted = tier != DispatchTier::kFcfsFallback;
-        AuctionInstance sub = charged;
-        sub.orders = &residual;
-        sub.vehicles = &patched;
-        sub.deadline = budgeted ? &dl : nullptr;
-        sub.anytime = budgeted;
-        deepest_ran = tier;
-        DispatchResult tier_result;
-        RankArtifacts artifacts;
-        if (tier == DispatchTier::kFcfsFallback) {
-          // serve_all=false keeps FCFS inside the mechanism's individual-
-          // rationality envelope (only nonnegative-utility pairs dispatch).
-          tier_result = FcfsDispatch(sub, /*serve_all=*/false);
-        } else if (kind == MechanismKind::kGreedy ||
-                   tier == DispatchTier::kGreedyFallback) {
-          tier_result = GreedyDispatch(sub);
-        } else {
-          RankRunResult run = RankDispatch(sub);
-          tier_result = std::move(run.result);
-          artifacts = std::move(run.artifacts);
-        }
-        // Anytime dispatches truncate instead of aborting.
-        ARIDE_ACHECK(tier_result.completed);
-        if (options.run_pricing && tier != DispatchTier::kFcfsFallback &&
-            !tier_result.assignments.empty()) {
-          OBS_TRACE_SPAN("auction.pricing");
-          WallTimer pricing_timer;
-          AuctionInstance price_in = sub;
-          price_in.deadline = nullptr;  // pricing is unbudgeted
-          price_in.anytime = false;
-          price_in.warm_start = nullptr;
-          std::vector<Payment> tier_payments;
-          if (kind == MechanismKind::kGreedy ||
-              tier == DispatchTier::kGreedyFallback) {
-            // Greedy-tier winners price with GPri: DnW needs Rank
-            // artifacts that a fallback dispatch does not have.
-            tier_payments = GPriPriceAll(price_in, tier_result, pricing_pool);
-          } else {
-            tier_payments =
-                DnWPriceAll(price_in, artifacts, tier_result, pricing_pool);
-          }
-          outcome.payments.insert(outcome.payments.end(),
-                                  tier_payments.begin(), tier_payments.end());
-          pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
-        }
-        if (tier == DispatchTier::kPrimary) {
-          outcome.rank_artifacts = std::move(artifacts);
-        }
-        outcome.dispatched_by_tier[static_cast<int>(tier)] +=
-            static_cast<int>(tier_result.assignments.size());
-        for (Assignment a : tier_result.assignments) {
-          a.tier = tier;
-          merged.assignments.push_back(a);
-        }
-        merged.total_utility += tier_result.total_utility;
-        merged.total_delta_delivery_m += tier_result.total_delta_delivery_m;
-        for (auto& [idx, plan] : tier_result.updated_plans) {
-          patched[idx].plan.stops = plan;
-          merged_plans[idx] = std::move(plan);
-        }
-        merged.surviving_pairs.insert(merged.surviving_pairs.end(),
-                                      tier_result.surviving_pairs.begin(),
-                                      tier_result.surviving_pairs.end());
-        if (tier_result.anytime.complete) break;  // budget survived the tier
-        outcome.truncated = true;
-        OBS_COUNTER_ADD(
-            "auction.dispatch.anytime.partial_winners",
-            static_cast<int64_t>(tier_result.assignments.size()));
-        std::vector<Order> next;
-        next.reserve(residual.size());
-        for (const Order& o : residual) {
-          if (!tier_result.IsDispatched(o.id)) next.push_back(o);
-        }
-        residual = std::move(next);
-        OBS_COUNTER_ADD("auction.dispatch.anytime.residual_orders",
-                        static_cast<int64_t>(residual.size()));
-      }
-      for (auto& [idx, plan] : merged_plans) {
-        merged.updated_plans.push_back({idx, std::move(plan)});
-      }
-      merged.anytime.complete = !outcome.truncated;
-      outcome.dispatch = std::move(merged);
-      // Deepest tier that contributed winners — or, when nothing dispatched
-      // at all, the deepest tier that ran.
-      outcome.tier = deepest_ran;
-      for (int t = kDispatchTierCount - 1; t >= 0; --t) {
-        if (outcome.dispatched_by_tier[t] > 0) {
-          outcome.tier = static_cast<DispatchTier>(t);
-          break;
-        }
-      }
-      if (outcome.truncated) {
-        OBS_COUNTER_INC("auction.dispatch.anytime.truncated_rounds");
-      }
-    } else {
-      // Cliff ladder (AR_ANYTIME=0): each tier runs under a fresh deadline;
-      // an aborted attempt is discarded wholly and the next (cheaper) tier
-      // retries. The terminal FCFS tier is unbudgeted, so every round
-      // dispatches something.
-      std::vector<DispatchTier> tiers =
-          options.budget.active()
-              ? LadderTiers(kind)
-              : std::vector<DispatchTier>{DispatchTier::kPrimary};
-      for (const DispatchTier tier : tiers) {
-        const bool budgeted =
-            options.budget.active() && tier != DispatchTier::kFcfsFallback;
-        Deadline dl = [&] {
-          if (!budgeted) return Deadline::Unlimited();
-          if (options.budget.wall_clock) {
-            return Deadline::WallClock(options.budget.budget_s);
-          }
-          return Deadline::Synthetic(options.budget.budget_s,
-                                     options.budget.query_penalty_s);
-        }();
-        charged.deadline = budgeted ? &dl : nullptr;
-        outcome.rank_artifacts = RankArtifacts{};
-        if (tier == DispatchTier::kFcfsFallback) {
-          // serve_all=false keeps FCFS inside the mechanism's individual-
-          // rationality envelope (only nonnegative-utility pairs dispatch).
-          outcome.dispatch = FcfsDispatch(charged, /*serve_all=*/false);
-        } else if (kind == MechanismKind::kGreedy ||
-                   tier == DispatchTier::kGreedyFallback) {
-          outcome.dispatch = GreedyDispatch(charged);
-        } else {
-          RankRunResult run = RankDispatch(charged);
-          outcome.dispatch = std::move(run.result);
-          outcome.rank_artifacts = std::move(run.artifacts);
-        }
-        if (outcome.dispatch.completed) {
-          outcome.tier = tier;
-          break;
-        }
-        outcome.dispatch = DispatchResult{};
-        outcome.truncated = true;
-        if (tier == DispatchTier::kPrimary) {
-          OBS_COUNTER_INC("auction.dispatch.deadline_aborts.primary");
-        } else {
-          OBS_COUNTER_INC("auction.dispatch.deadline_aborts.greedy_fallback");
-        }
-      }
-      // The last rung is unbudgeted, so the ladder cannot end incomplete.
-      ARIDE_ACHECK(outcome.dispatch.completed);
-      for (Assignment& a : outcome.dispatch.assignments) a.tier = outcome.tier;
-      outcome.dispatched_by_tier[static_cast<int>(outcome.tier)] =
-          static_cast<int>(outcome.dispatch.assignments.size());
+  DispatchResult& merged = outcome.dispatch;
+  WallTimer round_timer;
+  Seconds pricing_elapsed;
+  DispatchTier deepest_ran = DispatchTier::kPrimary;
+  const std::vector<DispatchTier> tiers = LadderTiers(kind);
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    const DispatchTier tier = tiers[t];
+    const bool fcfs = tier == DispatchTier::kFcfsFallback;
+    const bool greedy =
+        kind == MechanismKind::kGreedy || tier == DispatchTier::kGreedyFallback;
+    AuctionInstance sub = charged;
+    if (t > 0) {
+      sub.orders = &residual;
+      sub.vehicles = &patched;
     }
-    charged.deadline = nullptr;  // any dl is out of scope; pricing follows
+    sub.deadline = fcfs ? nullptr : round_dl;
+    deepest_ran = tier;
+    DispatchResult tier_result;
+    RankArtifacts artifacts;
+    {
+      OBS_TRACE_SPAN("auction.dispatch");
+      if (fcfs) {
+        // serve_all=false keeps FCFS inside the mechanism's individual-
+        // rationality envelope (only nonnegative-utility pairs dispatch).
+        tier_result = FcfsDispatch(sub, /*serve_all=*/false);
+      } else if (greedy) {
+        tier_result = GreedyDispatch(sub);
+      } else {
+        RankRunResult run = RankDispatch(sub);
+        tier_result = std::move(run.result);
+        artifacts = std::move(run.artifacts);
+      }
+    }
+    // Each priced tier is priced before the next tier's plans land: GPri/DnW
+    // must see exactly the orders and vehicle plans this tier's dispatch saw.
+    // FCFS-tier winners skip pricing: neither GPri nor DnW is defined for an
+    // FCFS dispatch, and a degraded round's goal is just to keep serving.
+    if (options.run_pricing && !fcfs && !tier_result.assignments.empty()) {
+      OBS_TRACE_SPAN("auction.pricing");
+      WallTimer pricing_timer;
+      AuctionInstance price_in = sub;
+      price_in.deadline = nullptr;  // pricing is unbudgeted
+      price_in.warm_start = nullptr;
+      std::vector<Payment> tier_payments;
+      if (greedy) {
+        // Greedy-tier winners price with GPri: DnW needs Rank artifacts
+        // that a fallback dispatch does not have.
+        tier_payments = GPriPriceAll(price_in, tier_result, pricing_pool);
+      } else {
+        tier_payments =
+            DnWPriceAll(price_in, artifacts, tier_result, pricing_pool);
+      }
+      outcome.payments.insert(outcome.payments.end(), tier_payments.begin(),
+                              tier_payments.end());
+      pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
+    }
+    if (tier == DispatchTier::kPrimary) {
+      outcome.rank_artifacts = std::move(artifacts);
+    }
+    outcome.dispatched_by_tier[static_cast<int>(tier)] +=
+        static_cast<int>(tier_result.assignments.size());
+    for (Assignment& a : tier_result.assignments) a.tier = tier;
+    const bool complete = tier_result.anytime.complete;
+    const std::size_t tier_winners = tier_result.assignments.size();
+    if (t == 0) {
+      merged = std::move(tier_result);
+    } else {
+      merged.assignments.insert(merged.assignments.end(),
+                                tier_result.assignments.begin(),
+                                tier_result.assignments.end());
+      merged.total_utility += tier_result.total_utility;
+      merged.total_delta_delivery_m += tier_result.total_delta_delivery_m;
+      for (auto& [idx, plan] : tier_result.updated_plans) {
+        auto it = std::find_if(
+            merged.updated_plans.begin(), merged.updated_plans.end(),
+            [idx = idx](const auto& entry) { return entry.first == idx; });
+        if (it != merged.updated_plans.end()) {
+          it->second = std::move(plan);
+        } else {
+          merged.updated_plans.push_back({idx, std::move(plan)});
+        }
+      }
+      merged.surviving_pairs.insert(merged.surviving_pairs.end(),
+                                    tier_result.surviving_pairs.begin(),
+                                    tier_result.surviving_pairs.end());
+    }
+    if (complete) break;  // budget survived the tier
+
+    outcome.truncated = true;
+    OBS_COUNTER_ADD("auction.dispatch.anytime.partial_winners",
+                    static_cast<int64_t>(tier_winners));
+    std::vector<Order> next;
+    next.reserve(sub.orders->size());
+    for (const Order& o : *sub.orders) {
+      if (!merged.IsDispatched(o.id)) next.push_back(o);
+    }
+    residual = std::move(next);
+    OBS_COUNTER_ADD("auction.dispatch.anytime.residual_orders",
+                    static_cast<int64_t>(residual.size()));
+    if (t == 0) patched = *instance.vehicles;
+    for (const auto& [idx, plan] : merged.updated_plans) {
+      patched[idx].plan.stops = plan;
+    }
+    if (residual.empty()) break;
+  }
+  merged.anytime.complete = !outcome.truncated;
+  outcome.dispatch_seconds =
+      Seconds(round_timer.ElapsedSeconds()) - pricing_elapsed;
+  // Deepest tier that contributed winners — or, when nothing dispatched at
+  // all, the deepest tier that ran.
+  outcome.tier = deepest_ran;
+  for (int t = kDispatchTierCount - 1; t >= 0; --t) {
+    if (outcome.dispatched_by_tier[t] > 0) {
+      outcome.tier = static_cast<DispatchTier>(t);
+      break;
+    }
+  }
+  if (outcome.truncated) {
+    OBS_COUNTER_INC("auction.dispatch.anytime.truncated_rounds");
   }
   if (outcome.tier != DispatchTier::kPrimary) {
     OBS_COUNTER_INC("auction.degraded_rounds");
   }
-  outcome.dispatch_seconds = Seconds(dispatch_timer.ElapsedSeconds());
   // Reuse the mechanism's own wall-clock measurements so the telemetry
   // matches what the paper-facing tables report.
   OBS_HISTOGRAM_OBSERVE(
@@ -248,25 +210,6 @@ MechanismOutcome RunMechanism(MechanismKind kind,
   OBS_COUNTER_ADD("auction.assignments",
                   static_cast<int64_t>(outcome.dispatch.assignments.size()));
 
-  // FCFS-tier winners skip pricing: neither GPri nor DnW is defined for an
-  // FCFS dispatch, and a degraded round's goal is just to keep serving.
-  // Anytime rounds already priced each tier inline above.
-  if (!anytime_mode && options.run_pricing &&
-      outcome.tier != DispatchTier::kFcfsFallback) {
-    OBS_TRACE_SPAN("auction.pricing");
-    WallTimer pricing_timer;
-    if (kind == MechanismKind::kGreedy ||
-        outcome.tier == DispatchTier::kGreedyFallback) {
-      // Greedy-fallback rounds price with GPri: DnW needs Rank artifacts
-      // that a fallback dispatch does not have.
-      outcome.payments =
-          GPriPriceAll(charged, outcome.dispatch, pricing_pool);
-    } else {
-      outcome.payments = DnWPriceAll(charged, outcome.rank_artifacts,
-                                     outcome.dispatch, pricing_pool);
-    }
-    pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
-  }
   if (options.run_pricing && !outcome.payments.empty()) {
     outcome.pricing_seconds = pricing_elapsed;
     OBS_HISTOGRAM_OBSERVE(

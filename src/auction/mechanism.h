@@ -28,12 +28,15 @@ enum class MechanismKind {
 std::string_view MechanismName(MechanismKind kind);
 
 /// Per-round compute budget for the anytime quality curve
-/// (DispatchTier, docs/ROBUSTNESS.md). Inactive (the default) preserves
-/// unbudgeted behavior exactly.
+/// (DispatchTier, docs/ROBUSTNESS.md): all tiers share one deadline, expiry
+/// finalizes best-so-far winners, and only the unassigned remainder falls
+/// through to the next tier. Inactive (the default): the primary tier runs
+/// unbudgeted and alone.
 struct DispatchBudget {
-  // Budget per dispatch attempt in seconds; <= 0 disables budgeting. A
-  // knob, not a simulated quantity: it feeds Deadline's ns arithmetic and
-  // `<= 0 disables` sentinel, which Seconds deliberately has no idiom for.
+  // Budget per round in seconds, shared by its tiers; <= 0 disables
+  // budgeting. A knob, not a simulated quantity: it feeds Deadline's ns
+  // arithmetic and `<= 0 disables` sentinel, which Seconds deliberately has
+  // no idiom for.
   double budget_s = 0;  // NOLINT-ARIDE(raw-unit-double): budget knob
   // True: budget counts real elapsed time plus synthetic charges (production
   // behavior, not bit-reproducible). False: synthetic charges only, so runs
@@ -42,11 +45,6 @@ struct DispatchBudget {
   // Synthetic cost charged per oracle query (latency-spike model); 0 = no
   // per-query charges.
   double query_penalty_s = 0;
-  // True (default): expiry finalizes best-so-far winners and only the
-  // unassigned remainder falls through the ladder, all tiers sharing one
-  // deadline. False: the legacy cliff — expiry discards the whole attempt
-  // and the next tier restarts with a fresh budget (AR_ANYTIME=0).
-  bool anytime = true;
 
   bool active() const { return budget_s > 0; }
 };
@@ -66,6 +64,8 @@ struct MechanismOutcome {
   // truthful bids val_j = bid_j).
   Money requester_utility;
 
+  // Wall time of dispatch (every tier that ran) and of pricing, disjoint:
+  // inline per-tier pricing counts only in pricing_seconds.
   Seconds dispatch_seconds;
   Seconds pricing_seconds;
 
@@ -77,8 +77,7 @@ struct MechanismOutcome {
   DispatchTier tier = DispatchTier::kPrimary;
   // Assignments contributed by each tier, indexed by DispatchTier.
   int dispatched_by_tier[kDispatchTierCount] = {0, 0, 0};
-  // True when the round budget expired and at least one tier was cut
-  // (anytime) or abandoned (cliff).
+  // True when the round budget expired and at least one tier was cut.
   bool truncated = false;
 
   // Rank artifacts (kind == kRank only, primary tier only), for callers

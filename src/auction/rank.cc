@@ -56,16 +56,13 @@ PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
 // is within reach. The k-NN path runs per-order on `pool` (each order only
 // writes its own slot; the oracle is thread-safe); the exact path stays
 // serial because the reverse Dijkstra workspace is shared mutable state.
-// Cliff mode sets *completed to false (result must be discarded) if `dl`
-// expires; anytime mode (in.anytime) instead cuts at a deterministic batch
-// boundary, sets *truncated, and leaves unreached orders unresolved (-1 —
-// they simply generate no packs downstream).
+// With a deadline `dl`, expiry cuts at a deterministic batch boundary, sets
+// *truncated, and leaves unreached orders unresolved (-1 — they simply
+// generate no packs downstream).
 std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
                                      ThreadPool* pool, Deadline* dl,
-                                     bool* completed, bool* truncated) {
-  *completed = true;
+                                     bool* truncated) {
   *truncated = false;
-  const bool anytime = in.anytime && dl != nullptr;
   const bool meter = dl != nullptr && dl->charges_queries();
   const std::vector<Order>& orders = *in.orders;
   const std::vector<Vehicle>& vehicles = *in.vehicles;
@@ -105,8 +102,8 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
   };
 
   if (!in.config.exact_nearest_vehicle) {
-    std::vector<int64_t> slot_queries(meter ? orders.size() : 0, 0);
-    if (anytime) {
+    if (dl != nullptr) {
+      std::vector<int64_t> slot_queries(meter ? orders.size() : 0, 0);
       const AnytimeSweep sweep = AnytimeBatchedSweep(
           pool, orders.size(), dl,
           [&](std::size_t j) {
@@ -126,35 +123,16 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
       *truncated = sweep.truncated;
       return nearest;
     }
-    *completed = ParallelForOrSerial(
-        pool, orders.size(),
-        [&](std::size_t j) {
-          const int64_t before =
-              meter ? DistanceOracle::ThreadQueryCount() : 0;
-          resolve_knn(j);
-          if (meter) {
-            slot_queries[j] = DistanceOracle::ThreadQueryCount() - before;
-          }
-        },
-        dl);
-    if (meter) {
-      int64_t total = 0;
-      for (int64_t q : slot_queries) total += q;
-      dl->ChargeQueries(total);
-    }
+    ParallelForOrSerial(pool, orders.size(), resolve_knn);
     return nearest;
   }
 
   DijkstraSearch reverse_search(&in.oracle->network());
   for (std::size_t j = 0; j < orders.size(); ++j) {
     if (dl != nullptr && (j & 7) == 0 && dl->expired()) {
-      if (anytime) {
-        // Per-order charges make every completed slot a finalized result;
-        // the cut leaves the tail unresolved.
-        *truncated = true;
-        return nearest;
-      }
-      *completed = false;
+      // Per-order charges make every completed slot a finalized result; the
+      // cut leaves the tail unresolved.
+      *truncated = true;
       return nearest;
     }
     const int64_t order_before =
@@ -187,7 +165,6 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
       dl->ChargeQueries(DistanceOracle::ThreadQueryCount() - order_before);
     }
   }
-  if (dl != nullptr && dl->expired() && !anytime) *completed = false;
   return nearest;
 }
 
@@ -354,17 +331,15 @@ void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
 
 // Generates candidate packs for every order: the per-group origin indexes
 // are built serially (cheap), then the (order, index) tasks are flattened
-// across groups and fanned out per-order on `pool`. Cliff mode returns
-// false (result must be discarded) if `dl` expires mid-generation; anytime
-// mode walks the tasks warm-hinted-first in deterministic batches, cuts at
-// a batch boundary (*sweep_out records it), and always returns true —
-// unprocessed orders keep best = -1 and are invisible to Phase II.
-bool GeneratePacks(const AuctionInstance& in,
+// across groups and fanned out per-order on `pool`. With a deadline `dl`
+// the tasks run warm-hinted-first in deterministic batches and expiry cuts
+// at a batch boundary (*sweep_out records it) — unprocessed orders keep
+// best = -1 and are invisible to Phase II.
+void GeneratePacks(const AuctionInstance& in,
                    const std::vector<std::vector<int32_t>>& groups,
                    ThreadPool* pool, Deadline* dl, PackMemo* memo,
                    RankArtifacts* artifacts, AnytimeSweep* sweep_out) {
   const std::vector<Order>& orders = *in.orders;
-  const bool anytime = in.anytime && dl != nullptr;
 
   // Maximum pack size: the largest vehicle capacity (c̄, default 3).
   int max_pack = 1;
@@ -393,9 +368,9 @@ bool GeneratePacks(const AuctionInstance& in,
     for (int32_t j : group) tasks.push_back({j, indexes.back().get()});
   }
 
-  const bool meter = dl != nullptr && dl->charges_queries();
-  std::vector<int64_t> slot_queries(meter ? tasks.size() : 0, 0);
-  if (anytime) {
+  if (dl != nullptr) {
+    const bool meter = dl->charges_queries();
+    std::vector<int64_t> slot_queries(meter ? tasks.size() : 0, 0);
     // Warm-hinted orders first: under a cut the budget goes to pack
     // searches that had surviving candidates a round ago. The permutation
     // is deterministic and a no-op for results when nothing is cut (each
@@ -420,22 +395,12 @@ bool GeneratePacks(const AuctionInstance& in,
           }
           dl->ChargeQueries(total);
         });
-    return true;
+    return;
   }
-  const bool complete = ParallelForOrSerial(
-      pool, tasks.size(),
-      [&](std::size_t t) {
-        GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
-                              memo, artifacts,
-                              meter ? &slot_queries[t] : nullptr);
-      },
-      dl);
-  if (meter) {
-    int64_t total = 0;
-    for (int64_t q : slot_queries) total += q;
-    dl->ChargeQueries(total);
-  }
-  return complete && !(dl != nullptr && dl->expired());
+  ParallelForOrSerial(pool, tasks.size(), [&](std::size_t t) {
+    GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
+                          memo, artifacts, /*queries_out=*/nullptr);
+  });
 }
 
 }  // namespace
@@ -462,24 +427,15 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   }
 
   Deadline* const dl = in.deadline;
-  const bool anytime = in.anytime && dl != nullptr;
   RankRunResult run;
   RankArtifacts& art = run.artifacts;
   art.candidates.resize(orders.size());
   art.best.assign(orders.size(), -1);
-  bool nearest_complete = true;
   bool nearest_truncated = false;
-  art.nearest_vehicle =
-      NearestVehicles(in, pool, dl, &nearest_complete, &nearest_truncated);
-  if (!nearest_complete) {
-    run.result.completed = false;
-    run.result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return run;
-  }
+  art.nearest_vehicle = NearestVehicles(in, pool, dl, &nearest_truncated);
 
   // Phase I: pack generation, clustered when the round is large (§V-E).
   PackMemo memo;
-  bool packs_complete = true;
   AnytimeSweep pack_sweep;
   {
     OBS_TRACE_SPAN("auction.rank.packgen");
@@ -496,8 +452,7 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
       }
       groups.push_back(std::move(everyone));
     }
-    packs_complete =
-        GeneratePacks(in, groups, pool, dl, &memo, &art, &pack_sweep);
+    GeneratePacks(in, groups, pool, dl, &memo, &art, &pack_sweep);
   }
   int64_t packs_generated = 0;
   for (const std::vector<PackCandidate>& cands : art.candidates) {
@@ -506,13 +461,11 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   OBS_COUNTER_ADD("auction.rank.packs_generated", packs_generated);
   OBS_COUNTER_ADD("auction.rank.packmemo.hits", memo.hits());
   OBS_COUNTER_ADD("auction.rank.packmemo.misses", memo.misses());
-  if (!packs_complete) {
-    run.result.completed = false;
-    run.result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return run;
-  }
 
-  // Phase II: pack dispatch by utility ranking.
+  // Phase II: pack dispatch by utility ranking. A deadline never cuts it:
+  // the ranking only holds packs whose feasibility is already proven, so it
+  // runs to completion over the generated candidates and every winner is
+  // kept.
   OBS_TRACE_SPAN("auction.rank.dispatch");
   struct RankedPack {
     int32_t owner;  // requester whose best pack this is
@@ -550,15 +503,6 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
       }
     }
     if (conflict) continue;
-
-    // Cliff-mode safe point: the previous pack (if any) is fully applied.
-    // Anytime mode treats Phase II as finalization — the ranking only holds
-    // packs whose feasibility is already proven, so it runs to completion
-    // over the generated candidates and every winner is kept.
-    if (!anytime && dl != nullptr && dl->expired()) {
-      result.completed = false;
-      break;
-    }
 
     // Dispatch the pack: recompute its (deterministic) optimal plan.
     std::vector<const Order*> order_ptrs;
@@ -604,17 +548,13 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
     result.total_delta_delivery_m += plan.delta_delivery_m;
   }
 
-  if (anytime) {
-    // Expiry truncated the search, not the result: winners above are
-    // finalized. cut_slot counts completed pack-generation slots (0 when
-    // the cut landed in nearest-vehicle resolution).
-    result.anytime.complete = !(nearest_truncated || pack_sweep.truncated);
-    if (!result.anytime.complete) {
-      result.anytime.cut_slot =
-          nearest_truncated ? 0 : static_cast<int>(pack_sweep.processed);
-    }
-  } else if (dl != nullptr && dl->expired()) {
-    result.completed = false;
+  // Expiry truncated the search, not the result: winners above are
+  // finalized. cut_slot counts completed pack-generation slots (0 when the
+  // cut landed in nearest-vehicle resolution).
+  result.anytime.complete = !(nearest_truncated || pack_sweep.truncated);
+  if (!result.anytime.complete) {
+    result.anytime.cut_slot =
+        nearest_truncated ? 0 : static_cast<int>(pack_sweep.processed);
   }
   if (in.warm_start != nullptr) {
     // Surviving candidates for next round's warm start: each order's best

@@ -110,9 +110,8 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
     shards_[static_cast<std::size_t>(s)]->world->AddVehicle(spawn);
   }
 
-  warm_enabled_ =
-      options_.faults.anytime && (options_.faults.round_budget_s > 0 ||
-                                  options_.service_round_budget_ms > 0);
+  warm_enabled_ = options_.faults.round_budget_s > 0 ||
+                  options_.service_round_budget_ms > 0;
 
   if (options_.engine_threads >= 0 && options_.num_shards > 1) {
     engine_pool_ = MakePool(options_.engine_threads);
@@ -181,7 +180,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         if (options_.faults.wall_clock_budget || spike) {
           mech_options.budget.budget_s = options_.faults.round_budget_s;
           mech_options.budget.wall_clock = options_.faults.wall_clock_budget;
-          mech_options.budget.anytime = options_.faults.anytime;
           if (spike) {
             mech_options.budget.query_penalty_s =
                 options_.faults.spike_query_penalty_s;
@@ -192,7 +190,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         // Service mode: real wall-clock budget, best-so-far at the deadline.
         mech_options.budget.budget_s = options_.service_round_budget_ms / 1e3;
         mech_options.budget.wall_clock = true;
-        mech_options.budget.anytime = options_.faults.anytime;
       }
       const MechanismOutcome outcome =
           RunMechanism(options_.mechanism, instance, mech_options,

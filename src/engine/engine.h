@@ -112,8 +112,7 @@ struct ShardStats {
   // fallback, FCFS fallback). A round is counted under the deepest tier
   // that contributed assignments.
   uint64_t tier_counts[kDispatchTierCount] = {0, 0, 0};
-  // Auction rounds whose budget expired mid-dispatch (anytime truncation
-  // or cliff tier abort).
+  // Auction rounds whose budget expired mid-dispatch (anytime truncation).
   uint64_t truncated_rounds = 0;
   SampleSet round_s;  // wall latency of the shard's whole round task
 };

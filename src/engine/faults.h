@@ -50,7 +50,7 @@ struct FaultOptions {
   double spike_prob_per_round = 0;
   double spike_query_penalty_s = 0;
 
-  // Per-attempt dispatch budget in seconds; <= 0 disables budgets. With
+  // Per-round dispatch budget in seconds; <= 0 disables budgets. With
   // wall_clock_budget the budget also counts real elapsed time (production
   // behavior, not bit-reproducible); without it only synthetic spike
   // charges count, keeping runs bit-identical for a fixed seed.
@@ -58,11 +58,6 @@ struct FaultOptions {
   // sentinel contract), so it stays a raw double with that field.
   double round_budget_s = 0;  // NOLINT-ARIDE(raw-unit-double): budget knob
   bool wall_clock_budget = false;
-  // True (default): budget expiry finalizes best-so-far winners and only
-  // the unassigned remainder falls through the tier curve. False: the
-  // legacy all-or-nothing cliff — an expired tier is discarded wholly
-  // (AR_ANYTIME=0 kill switch; see DispatchBudget::anytime).
-  bool anytime = true;
 
   /// True when any fault machinery is active (injection or budgets).
   bool any() const {

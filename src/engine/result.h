@@ -57,8 +57,7 @@ struct RoundRecord {
   // dispatched_by_tier (indexed by DispatchTier).
   DispatchTier dispatch_tier = DispatchTier::kPrimary;
   int dispatched_by_tier[kDispatchTierCount] = {0, 0, 0};
-  // True when the round budget expired and the dispatch was cut (anytime)
-  // or a tier was abandoned (cliff).
+  // True when the round budget expired and the dispatch was cut.
   bool truncated = false;
   // Region shard that ran this round's auction (always 0 with one shard;
   // engine runs emit one record per shard-round that auctioned).
@@ -89,8 +88,7 @@ struct SimResult {
   int orders_redispatched = 0;
   // Rounds decided by a fallback tier of the degradation ladder.
   int degraded_rounds = 0;
-  // Rounds whose budget expired mid-dispatch: truncated with winners kept
-  // (anytime) or tier-aborted (cliff).
+  // Rounds whose budget expired mid-dispatch (truncated, winners kept).
   int truncated_rounds = 0;
   // Σ payments returned to stranded/cancelled requesters, yuan. Already
   // subtracted from total_payments (refunds conserve money: Σ per-order

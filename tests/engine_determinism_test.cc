@@ -2,7 +2,7 @@
 // reproduce the single-world reference loop (sim_reference.h) bit-for-bit —
 // payments, utilities, dispatch counts, per-round records, events — across a
 // seed sweep at any engine thread count, under every fault profile with
-// anytime and cliff budgets, pending bid increments and a platform charge;
+// pending bid increments and a platform charge;
 // and a multi-shard engine must be bit-identical to itself at 1, 2, and 8
 // engine threads (with and without faults, with the rebalancer active).
 
@@ -136,30 +136,26 @@ TEST_F(EngineDeterminismTest, OneShardEngineMatchesLegacySimulatorSeedSweep) {
         ExpectSameResult(reference, engine);
       }
 
-      // Every fault profile, anytime and cliff budgets, with pending bid
-      // increments and a platform charge.
+      // Every fault profile, with pending bid increments and a platform
+      // charge.
       for (const FaultProfile profile :
            {FaultProfile::kNone, FaultProfile::kBreakdowns,
             FaultProfile::kCancellations, FaultProfile::kStorm}) {
-        for (const bool anytime : {true, false}) {
-          EngineOptions options = plain;
-          options.pending_bid_increment = Money(0.5);
-          options.auction.charge_ratio = 0.2;
-          options.faults = FaultOptionsForProfile(profile, seed);
-          options.faults.anytime = anytime;
-          options.engine_threads = 8;
-          const SimResult engine = Simulate(oracle_.get(), workload, options);
-          SCOPED_TRACE(::testing::Message()
-                       << "mechanism=" << static_cast<int>(mechanism)
-                       << " seed=" << seed << " profile="
-                       << FaultProfileName(profile)
-                       << " anytime=" << anytime);
-          ExpectSameResult(reference_run(options), engine);
-          truncated += engine.truncated_rounds;
-          stranded += engine.orders_stranded;
-          cancelled += engine.orders_cancelled;
-          redispatched += engine.orders_redispatched;
-        }
+        EngineOptions options = plain;
+        options.pending_bid_increment = Money(0.5);
+        options.auction.charge_ratio = 0.2;
+        options.faults = FaultOptionsForProfile(profile, seed);
+        options.engine_threads = 8;
+        const SimResult engine = Simulate(oracle_.get(), workload, options);
+        SCOPED_TRACE(::testing::Message()
+                     << "mechanism=" << static_cast<int>(mechanism)
+                     << " seed=" << seed
+                     << " profile=" << FaultProfileName(profile));
+        ExpectSameResult(reference_run(options), engine);
+        truncated += engine.truncated_rounds;
+        stranded += engine.orders_stranded;
+        cancelled += engine.orders_cancelled;
+        redispatched += engine.orders_redispatched;
       }
     }
   }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "auction/mechanism.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "exec/thread_pool.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
@@ -177,6 +179,26 @@ TEST(MechanismTest, PlatformUtilityAccountingIdentity) {
                        outcome.dispatch.total_delta_delivery_m;
   EXPECT_NEAR(outcome.platform_utility.value(),
               (pay_sum + fee_sum - payout).value(), 1e-9);
+}
+
+TEST(MechanismTest, BudgetedDispatchTimeExcludesPricing) {
+  // A budgeted round prices each tier right after dispatching it; that time
+  // belongs to pricing_seconds alone, so the two parts never add up to more
+  // than the call's own wall time.
+  const Scenario sc = RandomScenario(5, 40, 10);
+  MechanismOptions options;
+  options.budget.budget_s = 3600;  // synthetic, no charges: never expires
+  for (const MechanismKind kind :
+       {MechanismKind::kGreedy, MechanismKind::kRank}) {
+    SCOPED_TRACE(std::string(MechanismName(kind)));
+    const WallTimer wall;
+    const MechanismOutcome outcome =
+        RunMechanism(kind, sc.Instance(), options);
+    const Seconds elapsed(wall.ElapsedSeconds());
+    ASSERT_FALSE(outcome.payments.empty());
+    EXPECT_GT(outcome.pricing_seconds, Seconds(0));
+    EXPECT_LE(outcome.dispatch_seconds + outcome.pricing_seconds, elapsed);
+  }
 }
 
 }  // namespace

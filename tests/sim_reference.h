@@ -61,8 +61,7 @@ class ReferenceSimulation {
     for (const VehicleSpawn& spawn : workload_->vehicles) {
       world_->AddVehicle(spawn);
     }
-    warm_enabled_ =
-        options_.faults.anytime && options_.faults.round_budget_s > 0;
+    warm_enabled_ = options_.faults.round_budget_s > 0;
   }
 
   SimResult Run() {
@@ -148,7 +147,6 @@ class ReferenceSimulation {
       if (options_.faults.wall_clock_budget || spike) {
         mech_options.budget.budget_s = options_.faults.round_budget_s;
         mech_options.budget.wall_clock = options_.faults.wall_clock_budget;
-        mech_options.budget.anytime = options_.faults.anytime;
         if (spike) {
           mech_options.budget.query_penalty_s =
               options_.faults.spike_query_penalty_s;
